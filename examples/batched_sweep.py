@@ -46,8 +46,11 @@ def main() -> None:
     # A load x seed grid as ONE batched engine pass: 12 operating
     # points, one arena.  (repro sweep --backend array and the figure
     # harnesses batch exactly like this via ParallelSweepRunner.)
+    # Points that name the same algorithm *object* share its routing
+    # tables and LUTs, so build it once.
+    algorithm = WestFirst(mesh)
     points = [
-        (WestFirst(mesh), UniformPattern(mesh),
+        (algorithm, UniformPattern(mesh),
          replace(base, offered_load=load, seed=seed))
         for load in LOADS
         for seed in SEEDS

@@ -43,10 +43,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
-from ..routing.registry import make_algorithm
 from ..simulation.array_engine import BatchSimulator, make_simulator
 from ..simulation.config import SimulationConfig
-from .runner import make_pattern, parse_topology_spec
+from .runner import PointSpec, parse_topology_spec
 
 BENCH_SCHEMA = 2
 """Schema 2 added per-backend point labels (``<id>@array``), the
@@ -286,16 +285,13 @@ class BatchBenchPoint:
 
     def build(self, backend: str) -> List[tuple]:
         """(algorithm, pattern, config) triples for the whole batch —
-        one fresh topology/algorithm/pattern per point, exactly as a
-        sweep runner would construct them."""
+        the shared topology/algorithm and one fresh pattern per point,
+        exactly as a sweep runner would construct them."""
         out = []
         for i in range(self.batch_size):
-            topology = parse_topology_spec(self.topology)
-            out.append((
-                make_algorithm(self.algorithm, topology),
-                make_pattern(self.pattern, topology),
-                self.config(self.base_seed + i, backend),
-            ))
+            config = self.config(self.base_seed + i, backend)
+            spec = PointSpec(self.topology, self.algorithm, self.pattern, config)
+            out.append((*spec.build(), config))
         return out
 
     def spec_dict(self) -> Dict[str, object]:
@@ -451,13 +447,9 @@ def run_point(point: BenchPoint, repeats: int = 1) -> PointMeasurement:
     config = point.config()
     best_wall = float("inf")
     result = None
+    spec = PointSpec(point.topology, point.algorithm, point.pattern, config)
     for _ in range(repeats):
-        topology = parse_topology_spec(point.topology)
-        sim = make_simulator(
-            make_algorithm(point.algorithm, topology),
-            make_pattern(point.pattern, topology),
-            config,
-        )
+        sim = make_simulator(*spec.build(), config)
         started = time.perf_counter()
         result = sim.run()
         wall = time.perf_counter() - started

@@ -56,6 +56,7 @@ from .supervision import (
 
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import make_algorithm
+from ..routing.table import lru_fetch
 from ..simulation.array_engine import BatchSimulator, make_simulator
 from ..simulation.config import SimulationConfig
 from ..simulation.metrics import SimulationResult
@@ -107,12 +108,17 @@ def _code_version() -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_topology_spec(spec: str) -> Topology:
-    """Parse ``mesh:16x16`` / ``cube:8`` / ``torus:8x2`` into a topology.
+#: Parsed topologies by spec string and registry-built algorithms by
+#: ``(name, topology object)``, least recently used first.  A campaign
+#: names one network many times; handing back the same objects is what
+#: lets every point share the network's tables (docs/PERFORMANCE.md).
+#: Bounded like the tables registry they feed.
+_TOPOLOGIES: Dict[str, Topology] = {}
+_ALGORITHMS: Dict[Tuple[str, int], RoutingAlgorithm] = {}
+_NETWORK_MEMO_MAX = 8
 
-    Raises :class:`ValueError` for malformed specs (the CLI wraps this
-    into a usage error).
-    """
+
+def _parse_topology(spec: str) -> Topology:
     try:
         kind, _, shape = spec.partition(":")
         if kind == "mesh":
@@ -127,6 +133,32 @@ def parse_topology_spec(spec: str) -> Topology:
         pass
     raise ValueError(
         f"bad topology spec {spec!r}; expected mesh:AxB, cube:N, or torus:KxN"
+    )
+
+
+def parse_topology_spec(spec: str) -> Topology:
+    """Parse ``mesh:16x16`` / ``cube:8`` / ``torus:8x2`` into a topology.
+
+    Equal spec strings return the same (immutable) topology object while
+    it stays in the bounded memo.  Raises :class:`ValueError` for
+    malformed specs (the CLI wraps this into a usage error).
+    """
+    return lru_fetch(
+        _TOPOLOGIES, spec, lambda: _parse_topology(spec), _NETWORK_MEMO_MAX
+    )
+
+
+def shared_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
+    """The registry algorithm ``name`` on this topology *object*: built
+    once and handed to every caller while it stays in the bounded memo
+    (the algorithms are stateless, so sharing is unobservable except in
+    host time).  Raises like :func:`~repro.routing.registry.make_algorithm`.
+    """
+    # The entry holds the algorithm, which holds the topology: the id
+    # cannot be reused while it is part of a key.
+    return lru_fetch(
+        _ALGORITHMS, (name.strip().lower(), id(topology)),
+        lambda: make_algorithm(name, topology), _NETWORK_MEMO_MAX,
     )
 
 
@@ -199,9 +231,10 @@ class PointSpec:
     """The full simulation configuration (includes the offered load)."""
 
     def build(self) -> Tuple[RoutingAlgorithm, TrafficPattern]:
-        """Rebuild the live algorithm and pattern objects."""
+        """The live algorithm and pattern objects: the process-wide
+        shared topology and algorithm, and a fresh pattern."""
         topo = parse_topology_spec(self.topology)
-        algorithm = make_algorithm(self.algorithm, topo)
+        algorithm = shared_algorithm(self.algorithm, topo)
         pattern = make_pattern(self.pattern, topo)
         return algorithm, pattern
 

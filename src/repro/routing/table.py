@@ -1,56 +1,303 @@
-"""Routing-table precomputation: memoised candidate sets per network.
+"""Routing tables: what a network looks like and what an algorithm
+answers on it, each computed once.
 
 A routing decision in this codebase is a pure function of ``(current
 node, destination, arrival direction[, arrival virtual channel])`` — the
-turn-model algorithms are stateless by construction.  The cycle-driven
-simulator nevertheless re-derived the candidate list from scratch every
-time a header asked, dominating the arbitration hot path on large
-fabrics.  :class:`RoutingTable` memoises the four candidate queries of a
-:class:`~repro.routing.base.RoutingAlgorithm` into flat tuples, built
-lazily on first use — exactly what a hardware router's routing table
-does, computed once per (node, destination) instead of once per cycle.
+turn-model algorithms are stateless by construction — and the paper's
+evidence is *campaigns*: many loads, seeds and fault trials on one
+network.  Three structures capture what is immutable across a campaign,
+so nothing is rebuilt per operating point:
 
-Fault awareness composes on top: wrap the algorithm in
-:class:`~repro.faults.routing.FaultAwareRouting` *first* and build the
-table over the wrapper.  The table then caches the fault-masked answers,
-and the owner must call :meth:`invalidate_node` for every node whose
-answers a fault event may have changed (the source router of a failed or
-healed channel; a failed or healed router and its in-neighbours).
-:meth:`affected_nodes` computes that set.  Entries elsewhere stay warm —
-a single link failure invalidates one node's rows, not the network's.
+* :class:`NetworkIndex` — the facts of one :class:`Topology` object
+  (channel tuple, direction tuple, ``(src, direction) -> physical id``,
+  in-neighbour map), built once per topology object by
+  :func:`network_index`;
+* :class:`NetworkTables` — the *unmasked* answers of one algorithm object
+  at one virtual-channel count, one interned tuple of ``(direction,
+  runtime channel id, misroute bit)`` per decision, derived lazily and
+  shared by every simulator and batch that runs the algorithm
+  (:func:`shared_tables`, a bounded least-recently-used registry keyed by
+  object identity — a hand-built or spy algorithm gets its own);
+* :class:`RoutingTable` — a standalone direction-level memo of the four
+  candidate queries with per-node invalidation, for callers outside the
+  simulators.
 
-The memo returns the exact tuples the wrapped algorithm produced (order
-preserved), so a table-backed simulation is bit-identical to a
-table-free one.
+Shared answers are never fault-masked and never invalidated: a simulator
+running a fault plan layers its private, invalidatable mask over them
+(the event engine through :class:`~repro.faults.routing.MaskedTables`,
+the array engine with a per-cycle dead-channel mask), so a fault event
+cannot leak into another run.  :meth:`NetworkIndex.affected_nodes` names
+the nodes whose masked answers a fault event changes.
+
+Every memo returns the algorithm's candidates in the algorithm's order,
+so a table-backed simulation is bit-identical to a table-free one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Set, Tuple, TypeVar,
+)
 
-from ..topology.base import Direction, Topology
+from ..topology.base import Channel, Direction, Topology
 from .base import RoutingAlgorithm
 
 _MISS = object()  # sentinel: empty tuples are valid cached values
+T = TypeVar("T")
+
+#: One routing decision: ``(direction, runtime channel id, misroute bit)``
+#: per candidate, in the algorithm's order.
+Decision = Tuple[Tuple[Direction, int, int], ...]
+
+
+class NetworkIndex:
+    """The immutable facts of one :class:`Topology` object.
+
+    Built once per topology object (:func:`network_index`) and read by
+    every table, simulator and batch arena on it.
+    """
+
+    __slots__ = (
+        "channels", "directions", "dir_index", "channel_index",
+        "in_neighbors",
+    )
+
+    def __init__(self, topology: Topology) -> None:
+        self.channels: Tuple[Channel, ...] = topology.channels()
+        # Only directions some channel travels in, in (dim, sign) order
+        # — the paper's xy output-selection order.
+        self.directions: Tuple[Direction, ...] = tuple(
+            sorted({c.direction for c in self.channels})
+        )
+        # 1-based: 0 encodes "no arrival direction" (a header still at
+        # its source).
+        self.dir_index: Dict[Direction, int] = {
+            d: i + 1 for i, d in enumerate(self.directions)
+        }
+        self.channel_index: Dict[Tuple[int, Direction], int] = {
+            (c.src, c.direction): i for i, c in enumerate(self.channels)
+        }
+        neighbors: Dict[int, Set[int]] = {}
+        for channel in self.channels:
+            neighbors.setdefault(channel.dst, set()).add(channel.src)
+        self.in_neighbors: Dict[int, FrozenSet[int]] = {
+            node: frozenset(srcs) for node, srcs in neighbors.items()
+        }
+
+    def affected_nodes(self, node: int, channel_only: bool) -> Set[int]:
+        """Nodes whose fault-masked answers a fault event at ``node``
+        touches.
+
+        A channel event at ``(node, direction)`` only changes answers
+        computed *at* ``node`` (the fault mask tests the outgoing
+        channel).  A router event additionally kills every channel
+        *into* the router, changing the answers of its in-neighbours.
+        """
+        if channel_only:
+            return {node}
+        return {node} | self.in_neighbors.get(node, frozenset())
+
+
+def network_index(topology: Topology) -> NetworkIndex:
+    """The :class:`NetworkIndex` of ``topology``, built on first use and
+    kept on the topology object (so it lives exactly as long)."""
+    index = topology._network_index
+    if index is None:
+        index = topology._network_index = NetworkIndex(topology)
+    return index
+
+
+class NetworkTables:
+    """The unmasked answers of one algorithm object at one VC count.
+
+    Decisions are keyed by the router *input port* the header waits at:
+    ``port = (node * (num_dirs + 1) + dir_index) * num_vc + in_vc``, with
+    ``dir_index = in_vc = 0`` for a header still at its source (the
+    algorithms are queried with ``in_direction=None, in_vc=None`` there).
+    A node's ports are contiguous, so a private fault mask can drop one
+    node's rows with a slice.  Each port holds one ``dest -> Decision``
+    dict, filled on first use; equal decisions are interned, so a full
+    table costs one dict slot per decision rather than a tuple each.
+
+    With ``num_vc == 1`` the algorithm's direction-level queries are
+    asked (as the engines always did); otherwise its ``vc_*`` queries,
+    and pairs naming a missing physical channel or an out-of-range VC
+    are skipped.
+
+    ``array_lut`` is a slot for the array backend's numpy flattening of
+    these answers, so it shares this object's lifetime and bound.
+    """
+
+    __slots__ = (
+        "algorithm", "topology", "index", "num_vc", "channels",
+        "channel_ids", "node_ports", "arrive_port", "array_lut",
+        "_minimal", "_escape", "_interned",
+    )
+
+    def __init__(self, algorithm: RoutingAlgorithm, num_vc: int = 1) -> None:
+        self.algorithm = algorithm
+        self.topology: Topology = algorithm.topology
+        self.index = index = network_index(self.topology)
+        self.num_vc = num_vc
+        # Runtime channels: physical channel ``i`` expands into lanes
+        # ``i * num_vc + vc`` sharing the link's bandwidth.
+        if num_vc == 1:
+            self.channels: Tuple[Channel, ...] = index.channels
+            self.channel_ids: Dict[Tuple[int, Direction], int] = (
+                index.channel_index
+            )
+        else:
+            self.channels = tuple(
+                c for c in index.channels for _ in range(num_vc)
+            )
+            self.channel_ids = {
+                key: i * num_vc for key, i in index.channel_index.items()
+            }
+        span = len(index.directions) + 1
+        self.node_ports = span * num_vc
+        dir_index = index.dir_index
+        #: runtime channel id -> the port a header arriving on it waits at
+        self.arrive_port: List[int] = [
+            (c.dst * span + dir_index[c.direction]) * num_vc + i % num_vc
+            for i, c in enumerate(self.channels)
+        ]
+        self.array_lut = None
+        ports = self.topology.num_nodes * self.node_ports
+        self._minimal: List[Optional[Dict[int, Decision]]] = [None] * ports
+        self._escape: List[Optional[Dict[int, Decision]]] = [None] * ports
+        self._interned: Dict[tuple, tuple] = {}
+
+    def minimal(self, port: int, dest: int) -> Decision:
+        """The algorithm's candidates for a header at ``port`` bound for
+        ``dest``."""
+        row = self._minimal[port]
+        if row is None:
+            row = self._minimal[port] = {}
+        decision = row.get(dest)
+        if decision is None:
+            decision = row[dest] = self._derive(port, dest, escape=False)
+        return decision
+
+    def escape(self, port: int, dest: int) -> Decision:
+        """The algorithm's escape (nonminimal) candidates, consulted only
+        when every minimal candidate is busy."""
+        row = self._escape[port]
+        if row is None:
+            row = self._escape[port] = {}
+        decision = row.get(dest)
+        if decision is None:
+            decision = row[dest] = self._derive(port, dest, escape=True)
+        return decision
+
+    def _derive(self, port: int, dest: int, escape: bool) -> Decision:
+        num_vc = self.num_vc
+        rest, in_vc = divmod(port, num_vc)
+        node, diridx = divmod(rest, self.node_ports // num_vc)
+        in_direction = self.index.directions[diridx - 1] if diridx else None
+        algorithm = self.algorithm
+        if num_vc == 1:
+            query = (
+                algorithm.escape_candidates if escape
+                else algorithm.candidates
+            )
+            pairs = [(d, 0) for d in query(node, dest, in_direction)]
+        else:
+            query = (
+                algorithm.vc_escape_candidates if escape
+                else algorithm.vc_candidates
+            )
+            pairs = query(
+                node, dest, in_direction, in_vc if diridx else None, num_vc
+            )
+        channel_ids = self.channel_ids
+        channels = self.channels
+        distance = self.topology.distance
+        intern = self._interned.setdefault
+        here = None
+        out = []
+        for direction, vc in pairs:
+            if num_vc == 1:
+                cid = channel_ids[(node, direction)]
+            else:
+                base = channel_ids.get((node, direction))
+                if base is None or not 0 <= vc < num_vc:
+                    continue
+                cid = base + vc
+            if here is None:
+                here = distance(node, dest)
+            misroute = int(distance(channels[cid].dst, dest) >= here)
+            candidate = (direction, cid, misroute)
+            out.append(intern(candidate, candidate))
+        decision = tuple(out)
+        return intern(decision, decision)
+
+    @property
+    def num_entries(self) -> int:
+        """Decisions currently held (for tests/diagnostics)."""
+        return sum(
+            len(row)
+            for rows in (self._minimal, self._escape)
+            for row in rows
+            if row is not None
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"NetworkTables({self.algorithm!r}, num_vc={self.num_vc}, "
+            f"{self.num_entries} entries)"
+        )
+
+
+#: The shared-tables registry: ``(id(algorithm), num_vc) -> tables``, in
+#: least-recently-used order.  Each entry keeps its algorithm alive, so
+#: an id cannot be reused while it is a key.  Bounded: the oldest group
+#: is dropped (simulators in flight keep their own reference).
+_SHARED: Dict[Tuple[int, int], NetworkTables] = {}
+_SHARED_MAX = 8
+
+
+def lru_fetch(memo: dict, key, build: Callable[[], T], bound: int) -> T:
+    """``memo[key]``, built on a miss; marks the entry most recently
+    used and drops the least recently used beyond ``bound``."""
+    value = memo.pop(key, _MISS)
+    if value is _MISS:
+        value = build()
+    memo[key] = value
+    while len(memo) > bound:
+        del memo[next(iter(memo))]
+    return value
+
+
+def shared_tables(algorithm: RoutingAlgorithm, num_vc: int = 1) -> NetworkTables:
+    """The process-wide :class:`NetworkTables` of this algorithm *object*
+    at ``num_vc`` virtual channels, built on first use."""
+    return lru_fetch(
+        _SHARED, (id(algorithm), num_vc),
+        lambda: NetworkTables(algorithm, num_vc), _SHARED_MAX,
+    )
 
 
 class RoutingTable:
-    """Lazy per-network memo of an algorithm's candidate queries.
+    """Lazy direction-level memo of an algorithm's candidate queries.
 
-    One table serves one ``(algorithm, topology)`` pair — the simulator
-    builds one per run.  All four query methods mirror the
+    A standalone utility: the simulators share :class:`NetworkTables`
+    instead.  One table serves one algorithm (fault-masked or not); all
+    four query methods mirror the
     :class:`~repro.routing.base.RoutingAlgorithm` signatures but return
-    tuples (safe to alias, never mutated).
+    tuples (safe to alias, never mutated).  Over a
+    :class:`~repro.faults.routing.FaultAwareRouting` wrapper the table
+    caches the masked answers, and the owner must call
+    :meth:`invalidate_node` for every node in :meth:`affected_nodes`
+    when a fault appears or heals.
     """
 
-    __slots__ = ("algorithm", "_nodes", "_in_neighbors")
+    __slots__ = ("algorithm", "_nodes")
 
     def __init__(self, algorithm: RoutingAlgorithm) -> None:
         self.algorithm = algorithm
         # node -> key -> tuple; keys carry a kind tag so the four query
         # families share one per-node dict (one hash hop to invalidate).
         self._nodes: Dict[int, Dict[tuple, tuple]] = {}
-        self._in_neighbors: Optional[Dict[int, Set[int]]] = None
 
     # -- queries (memoised) --------------------------------------------------
 
@@ -143,22 +390,9 @@ class RoutingTable:
     def affected_nodes(
         self, topology: Topology, node: int, channel_only: bool
     ) -> Set[int]:
-        """Nodes whose cached answers a fault event at ``node`` touches.
-
-        A channel event at ``(node, direction)`` only changes answers
-        computed *at* ``node`` (the fault mask tests the outgoing
-        channel).  A router event additionally kills every channel
-        *into* the router, changing the answers of its in-neighbours.
-        """
-        if channel_only:
-            return {node}
-        neighbors = self._in_neighbors
-        if neighbors is None:
-            neighbors = {}
-            for channel in topology.channels():
-                neighbors.setdefault(channel.dst, set()).add(channel.src)
-            self._in_neighbors = neighbors
-        return {node} | neighbors.get(node, set())
+        """Nodes whose cached answers a fault event at ``node`` touches
+        (see :meth:`NetworkIndex.affected_nodes`)."""
+        return network_index(topology).affected_nodes(node, channel_only)
 
     # -- introspection -------------------------------------------------------
 

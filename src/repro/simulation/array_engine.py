@@ -71,7 +71,7 @@ except ImportError:  # pragma: no cover - exercised by the minimal-install job
     np = None  # type: ignore[assignment]
 
 from ..faults.plan import CHANNEL_FAULT, FAIL
-from ..routing.table import RoutingTable
+from ..routing.table import NetworkTables, network_index, shared_tables
 from ..verification.graph import DiGraph
 from .config import SimulationConfig
 from .engine import WormholeSimulator
@@ -217,10 +217,10 @@ def _lut_entries(topology, num_vc: int) -> int:
     computable without building the group (the ``"lut-cap"`` demotion
     gate must be reportable even alongside other gates, when no group
     is ever constructed)."""
-    dirs = {c.direction for c in topology.channels()}
+    num_dirs = len(network_index(topology).directions)
     n = topology.num_nodes
-    rows = n * n * (len(dirs) + 1) * num_vc
-    return rows * len(dirs) * num_vc
+    rows = n * n * (num_dirs + 1) * num_vc
+    return rows * num_dirs * num_vc
 
 
 def _run_ranks(sorted_keys):
@@ -236,203 +236,127 @@ def _run_ranks(sorted_keys):
 
 
 class _GroupTables:
-    """Per-(algorithm kind, topology shape, VC class) integer routing LUTs.
+    """The integer routing LUTs of one :class:`NetworkTables` (one
+    algorithm object at one VC count), plus its one-member arena
+    template.
 
-    Flattens the memoised :class:`~repro.routing.table.RoutingTable`
-    answers into ``[node x dest x (in_direction+1)] -> K`` local channel
-    ids (xy-sorted so *first free wins* is exactly the paper's xy output
-    selection), plus a parallel misroute flag per entry (the engine's
-    ``distance(ch.dst, dest) >= distance(ch.src, dest)`` test).  Rows
-    build lazily, only for decisions that actually occur.  Shared by
-    every batch member with the same algorithm class+name, topology
-    class+shape, and ``virtual_channels`` — routing here is a pure
-    function of those (the turn-model algorithms are stateless by
-    construction, and the VC algorithms key their candidate sets only on
-    the arrival VC class).  Fault masking never touches the tables:
-    failures are a runtime ``ch_dead`` mask over the candidate columns
-    (the event engine's order-preserving ``FaultAwareRouting`` filter
-    commutes with the dedup+sort used here, because only the candidate
-    *set* is observable).
+    Flattens the shared tables' decisions into ``[node x dest x
+    (in_direction+1)] -> K`` member-local runtime channel ids (xy-sorted
+    so *first free wins* is exactly the paper's xy output selection),
+    plus the parallel misroute bit per entry.  Rows build lazily, only
+    for decisions that actually occur.  Kept on the tables' ``array_lut``
+    slot, so every batch member and every later batch running the same
+    algorithm object reuses them, under the tables' registry bound.
+    Fault masking never touches the LUTs: failures are a runtime
+    ``ch_dead`` mask over the candidate columns (the event engine's
+    order-preserving fault filter commutes with the dedup+sort used
+    here, because only the candidate *set* is observable).
 
     **Multi-VC layout** (``num_vc > 1``): rows gain an arrival-VC axis —
     ``row = ((node*N + dest)*(num_dirs+1) + diridx)*num_vc + in_vc`` with
-    ``in_vc = 0`` for pre-injection headers (the engine queries with
-    ``in_vc=None`` there, and ``pk_head_vc`` starts at 0) — and columns
-    hold up to ``K = num_dirs*num_vc`` *(direction, vc)* pairs in the
-    algorithm's ``vc_candidates`` order (NOT sorted: the VC preference
-    within a direction is order-significant — the engine grants the
-    first free candidate of the selected direction).  ``cand`` stores
-    member-local *runtime* channel ids (``physical*num_vc + vc``), and a
+    ``in_vc = 0`` for pre-injection headers (``pk_head_vc`` starts at 0)
+    — and columns hold up to ``K = num_dirs*num_vc`` *(direction, vc)*
+    pairs in the algorithm's ``vc_candidates`` order (NOT sorted: the VC
+    preference within a direction is order-significant — the engine
+    grants the first free candidate of the selected direction).  A
     parallel ``cdirk`` column gives each pair's dense direction key
     (``dir_index``, 1-based) so arbitration can collapse the pair
     columns to the direction-level ``sorted(options)`` view every
-    selection policy consumes.  Invalid pairs (no such physical channel
-    at a mesh edge, or ``vc`` out of range) are skipped exactly like the
-    engine's ``_vc_pairs``.  Escape tables allocate lazily — many VC
+    selection policy consumes.  Escape tables allocate lazily — most
     groups never exhaust their minimal candidates.
     """
 
-    def __init__(self, algorithm, topology, num_vc: int = 1) -> None:
-        self.table = RoutingTable(algorithm)
-        self.topology = topology
-        self.num_vc = num_vc
-        self._dist: Dict[Tuple[int, int], int] = {}
-        physical = list(topology.channels())
-        dirs = sorted({c.direction for c in physical})
-        self.dir_index = {d: i + 1 for i, d in enumerate(dirs)}
-        self.index_dir: List = [None] + dirs
-        self.num_dirs = len(dirs)
-        self.N = topology.num_nodes
+    def __init__(self, tables: NetworkTables) -> None:
+        # No reference back to ``tables`` (it owns this object): callers
+        # pass it to ``ensure_rows``, so dropping the tables frees the
+        # LUTs by refcount.
+        index = tables.index
+        self.num_vc = num_vc = tables.num_vc
+        self.dir_index = index.dir_index
+        self.num_dirs = len(index.directions)
+        self.N = tables.topology.num_nodes
         self.K = self.num_dirs * num_vc
-        self.channels = physical
-        self.channel_ids = {
-            (c.src, c.direction): i for i, c in enumerate(physical)
-        }
-        rows = self.N * self.N * (self.num_dirs + 1) * num_vc
-        self.rows = rows
-        self.ok = rows * self.K <= _LUT_ENTRY_CAP
-        if self.ok:
-            if num_vc == 1:
-                self.cand = np.full((rows, self.K), -1, dtype=np.int64)
-                self.cmis = np.zeros((rows, self.K), dtype=np.int64)
-                self.cbuilt = np.zeros(rows, dtype=bool)
-                self.esc = np.full((rows, self.K), -1, dtype=np.int64)
-                self.emis = np.zeros((rows, self.K), dtype=np.int64)
-                self.ebuilt = np.zeros(rows, dtype=bool)
-                self.cdirk = self.edirk = None
-            else:
-                # Narrow dtypes: VC tables are num_vc^2 larger than the
-                # single-VC ones (5.2M rows x 8 cols for a 16x16 torus
-                # at num_vc=2), so int32 ids + int8 flags keep a cached
-                # group tens of MB instead of hundreds.
-                self.cand = np.full((rows, self.K), -1, dtype=np.int32)
-                self.cmis = np.zeros((rows, self.K), dtype=np.int8)
-                self.cdirk = np.zeros((rows, self.K), dtype=np.int8)
-                self.cbuilt = np.zeros(rows, dtype=bool)
-                self.esc = self.emis = self.edirk = None
-                self.ebuilt = np.zeros(rows, dtype=bool)
+        self.rows = rows = self.N * self.N * (self.num_dirs + 1) * num_vc
+        # Narrow dtypes for VC tables: they are num_vc^2 larger than the
+        # single-VC ones (5.2M rows x 8 cols for a 16x16 torus at
+        # num_vc=2), so int32 ids + int8 flags keep a group tens of MB
+        # instead of hundreds.
+        self._dtypes = (
+            (np.int64, np.int64) if num_vc == 1 else (np.int32, np.int8)
+        )
+        self.cand, self.cmis, self.cdirk = self._alloc()
+        self.cbuilt = np.zeros(rows, dtype=bool)
+        self.esc = self.emis = self.edirk = None
+        self.ebuilt = np.zeros(rows, dtype=bool)
+        # One member's slice of the channel arena: a lane per runtime
+        # channel (physical x vc), in the event engine's numbering.
+        physical = index.channels
+        self.num_links = len(physical)
+        self.num_ch = self.num_links * num_vc
 
-    def key_of(self, algorithm, topology) -> tuple:
-        return _group_key(algorithm, topology, self.num_vc)
+        def per_vc(values):
+            return np.repeat(np.asarray(values, dtype=np.int64), num_vc)
 
-    def ensure_rows(self, rows, escape: bool) -> None:
+        self.t_src = per_vc([c.src for c in physical])
+        self.t_dst = per_vc([c.dst for c in physical])
+        self.t_dir = per_vc([index.dir_index[c.direction] for c in physical])
+        self.t_link = per_vc(range(self.num_links))
+        self.t_vc = np.tile(np.arange(num_vc, dtype=np.int64), self.num_links)
+
+    def _alloc(self):
+        ids, flags = self._dtypes
+        shape = (self.rows, self.K)
+        return (
+            np.full(shape, -1, dtype=ids),
+            np.zeros(shape, dtype=flags),
+            np.zeros(shape, dtype=flags) if self.num_vc > 1 else None,
+        )
+
+    def ensure_rows(self, tables: NetworkTables, rows, escape: bool) -> None:
         built = self.ebuilt if escape else self.cbuilt
         hit = built[rows]
         if hit.all():
             return
         if escape and self.esc is None:
-            self.esc = np.full((self.rows, self.K), -1, dtype=np.int32)
-            self.emis = np.zeros((self.rows, self.K), dtype=np.int8)
-            self.edirk = np.zeros((self.rows, self.K), dtype=np.int8)
-        build = self._build_vc_row if self.num_vc > 1 else self._build_row
+            self.esc, self.emis, self.edirk = self._alloc()
         for r in np.unique(rows[~hit]):
-            build(int(r), escape)
+            self._build_row(tables, int(r), escape)
 
-    def _misroute(self, cid: int, dest: int) -> int:
-        channel = self.channels[cid]
-        memo = self._dist
-        distance = self.topology.distance
-        near = memo.get((channel.dst, dest))
-        if near is None:
-            near = distance(channel.dst, dest)
-            memo[(channel.dst, dest)] = near
-        far = memo.get((channel.src, dest))
-        if far is None:
-            far = distance(channel.src, dest)
-            memo[(channel.src, dest)] = far
-        return int(near >= far)
-
-    def _build_row(self, row: int, escape: bool) -> None:
-        span = self.num_dirs + 1
-        diridx = row % span
-        nd = row // span
-        dest = nd % self.N
-        node = nd // self.N
-        in_direction = self.index_dir[diridx]
-        if escape:
-            dirs = self.table.escape_candidates(node, dest, in_direction)
-            out, mis, built = self.esc, self.emis, self.ebuilt
-        else:
-            dirs = self.table.candidates(node, dest, in_direction)
-            out, mis, built = self.cand, self.cmis, self.cbuilt
-        # First-appearance dedup (as the engine does) then xy order, so
-        # "first free entry" is the xy output-selection winner.
-        ordered = sorted(dict.fromkeys(dirs), key=lambda d: (d.dim, d.sign))
-        for j, d in enumerate(ordered):
-            cid = self.channel_ids[(node, d)]
-            out[row, j] = cid
-            mis[row, j] = self._misroute(cid, dest)
-        built[row] = True
-
-    def _build_vc_row(self, row: int, escape: bool) -> None:
+    def _build_row(self, tables: NetworkTables, row: int, escape: bool) -> None:
         num_vc = self.num_vc
-        rest, vcslot = divmod(row, num_vc)
         span = self.num_dirs + 1
-        diridx = rest % span
-        nd = rest // span
-        dest = nd % self.N
-        node = nd // self.N
-        in_direction = self.index_dir[diridx]
-        # Pre-injection headers have head_vc = None in the engine (the
-        # arena keeps pk_head_vc = 0 and only row vcslot 0 is reachable
-        # while pk_head_dir == 0), so replay the memo key exactly.
-        in_vc = vcslot if diridx else None
+        rest, in_vc = divmod(row, num_vc)
+        nd, diridx = divmod(rest, span)
+        node, dest = divmod(nd, self.N)
+        port = (node * span + diridx) * num_vc + in_vc
         if escape:
-            pairs = self.table.vc_escape_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            )
+            decision = tables.escape(port, dest)
             out, mis, dirk, built = self.esc, self.emis, self.edirk, self.ebuilt
         else:
-            pairs = self.table.vc_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            )
+            decision = tables.minimal(port, dest)
             out, mis, dirk, built = self.cand, self.cmis, self.cdirk, self.cbuilt
-        j = 0
-        for d, vc in pairs:
-            base = self.channel_ids.get((node, d))
-            if base is None or not 0 <= vc < num_vc:
-                continue
-            out[row, j] = base * num_vc + vc
-            mis[row, j] = self._misroute(base, dest)
-            dirk[row, j] = self.dir_index[d]
-            j += 1
+        if num_vc == 1:
+            # First-appearance dedup (as the engine does) then xy order,
+            # so "first free entry" is the xy output-selection winner.
+            decision = sorted(
+                dict.fromkeys(decision), key=lambda c: (c[0].dim, c[0].sign)
+            )
+        dir_index = self.dir_index
+        for j, (direction, cid, misroute) in enumerate(decision):
+            out[row, j] = cid
+            mis[row, j] = misroute
+            if dirk is not None:
+                dirk[row, j] = dir_index[direction]
         built[row] = True
 
 
-def _group_key(algorithm, topology, num_vc: int = 1) -> tuple:
-    # Routing here is a pure function of the algorithm's class + name
-    # (+ its TurnModel, for the turn-restricted family — a frozen,
-    # hashable dataclass), the topology's class + shape, and the VC
-    # class count (dateline/escape candidate sets change with num_vc, so
-    # leaving it out would alias their LUTs): that is the contract every
-    # algorithm in the registry satisfies, and it is what lets LUTs be
-    # shared across members and across batches.
-    return (
-        type(algorithm),
-        getattr(algorithm, "name", None),
-        getattr(algorithm, "model", None),
-        type(topology),
-        tuple(topology.dims),
-        num_vc,
-    )
-
-
-#: Cross-batch LUT cache: lazily-built rows survive from one
-#: ``BatchSimulator`` to the next in the same process, so a sweep of many
-#: batches pays each routing-table flattening once.  Bounded: oldest
-#: groups are evicted (in-flight cores keep their own references).
-_GROUP_CACHE: Dict[tuple, "_GroupTables"] = {}
-_GROUP_CACHE_MAX = 8
-
-
-def _shared_group(algorithm, topology, num_vc: int = 1) -> "_GroupTables":
-    key = _group_key(algorithm, topology, num_vc)
-    group = _GROUP_CACHE.get(key)
+def _group_tables(tables: NetworkTables) -> "_GroupTables":
+    """The LUT group of ``tables``, built on first use and kept on it —
+    lazily-built rows survive from one ``BatchSimulator`` to the next in
+    the same process, so a campaign pays each flattening once."""
+    group = tables.array_lut
     if group is None:
-        group = _GroupTables(algorithm, topology, num_vc)
-        _GROUP_CACHE[key] = group
-        while len(_GROUP_CACHE) > _GROUP_CACHE_MAX:
-            del _GROUP_CACHE[next(iter(_GROUP_CACHE))]
+        group = tables.array_lut = _GroupTables(tables)
     return group
 
 
@@ -443,18 +367,19 @@ class _FastMember:
     queues, injection ports, fault/retry schedules, result accounting)
     — a faithful port of the event engine's generation/injection/fault
     stages — while arbitration and movement for its worms run inside
-    the core's shared numpy kernels.
+    the core's shared numpy kernels.  The member holds no reference to
+    its :class:`_BatchCore` (every method that touches the arena takes
+    it as an argument), so a finished batch is freed by refcount.
     """
 
     fast = True
 
     def __init__(
-        self, core: "_BatchCore", fidx: int, algorithm, pattern,
+        self, fidx: int, num_ch: int, algorithm, pattern,
         config: SimulationConfig, profiler=None,
     ) -> None:
         import random
 
-        self.core = core
         self.fidx = fidx
         self.algorithm = algorithm
         self.pattern = pattern
@@ -466,7 +391,7 @@ class _FastMember:
         # The arena is runtime-channel granular: one lane per
         # (physical channel, vc), matching the event engine's channel
         # numbering ``physical_index * num_vc + vc``.
-        self.num_ch = len(self.core_channels()) * self.num_vc
+        self.num_ch = num_ch
         self.total = config.total_cycles
         self.frozen = False
         self.inflight = 0
@@ -516,12 +441,9 @@ class _FastMember:
             cycle_time_us=config.cycle_time_us,
         )
 
-    def core_channels(self) -> list:
-        return list(self.topology.channels())
-
     # -- generation / injection (scalar, RNG-exact engine ports) ------------
 
-    def _generate(self, cycle: int) -> None:
+    def _generate(self, core: "_BatchCore", cycle: int) -> None:
         heap = self._arrival_heap
         if not heap or heap[0][0] > cycle:
             return
@@ -559,15 +481,15 @@ class _FastMember:
                 if dst is None or dst == node:
                     continue
                 length = lengths[randrange(num_lengths)]
-                self._enqueue(Packet(self._next_pid, node, dst, length, cycle))
+                self._enqueue(
+                    core, Packet(self._next_pid, node, dst, length, cycle)
+                )
                 self._next_pid += 1
             next_arrival[node] = when
             push(heap, (when, index))
-        self.core.m_nextgen[self.fidx] = (
-            heap[0][0] if heap else float("inf")
-        )
+        core.m_nextgen[self.fidx] = heap[0][0] if heap else float("inf")
 
-    def _enqueue(self, packet: Packet) -> None:
+    def _enqueue(self, core: "_BatchCore", packet: Packet) -> None:
         node = packet.src
         self.queues[node].append(packet)
         self._backlog += 1
@@ -575,9 +497,9 @@ class _FastMember:
             self.result.generated_packets += 1
         if self.injection_busy[node] < 0:
             self.pending_nodes.add(node)
-            self.core.m_pending[self.fidx] = True
+            core.m_pending[self.fidx] = True
 
-    def _inject(self, cycle: int) -> None:
+    def _inject(self, core: "_BatchCore", cycle: int) -> None:
         dead_routers = self.dead_routers
         for node in list(self.pending_nodes):
             queue = self.queues[node]
@@ -595,45 +517,48 @@ class _FastMember:
                 # on an unreachable destination (it may heal before a
                 # retry, so retries still apply).
                 self._finish_drop(
-                    packet.src, packet.dst, packet.length, packet.created,
-                    packet.attempt, cycle, "dead-destination",
+                    core, packet.src, packet.dst, packet.length,
+                    packet.created, packet.attempt, cycle,
+                    "dead-destination",
                 )
                 if not queue:
                     self.pending_nodes.discard(node)
                 continue
-            slot = self.core._alloc_slot(self, packet, cycle)
+            slot = core._alloc_slot(self, packet, cycle)
             self.injection_busy[node] = slot
             self.pending_nodes.discard(node)
-        self.core.m_pending[self.fidx] = bool(self.pending_nodes)
+        core.m_pending[self.fidx] = bool(self.pending_nodes)
 
-    def _release_injection(self, slot: int) -> None:
-        node = int(self.core.pk_src[slot])
+    def _release_injection(self, core: "_BatchCore", slot: int) -> None:
+        node = int(core.pk_src[slot])
         self.injection_busy[node] = -1
         if self.queues[node]:
             self.pending_nodes.add(node)
-            self.core.m_pending[self.fidx] = True
+            core.m_pending[self.fidx] = True
 
     # -- retries / drops / kills (scalar engine ports) -----------------------
 
-    def _requeue(self, packet: Packet) -> None:
+    def _requeue(self, core: "_BatchCore", packet: Packet) -> None:
         node = packet.src
         self.queues[node].append(packet)
         self._backlog += 1
         if self.injection_busy[node] < 0:
             self.pending_nodes.add(node)
-            self.core.m_pending[self.fidx] = True
+            core.m_pending[self.fidx] = True
 
-    def _pop_retries(self, cycle: int) -> None:
+    def _pop_retries(self, core: "_BatchCore", cycle: int) -> None:
         for packet in self._retry_at.pop(cycle, ()):
-            self._requeue(packet)
-        self.core.m_nextretry[self.fidx] = (
+            self._requeue(core, packet)
+        core.m_nextretry[self.fidx] = (
             min(self._retry_at) if self._retry_at else _NEVER
         )
 
-    def _kill(self, slot: int, cycle: int, cause: str, killed: bool = True) -> None:
+    def _kill(
+        self, core: "_BatchCore", slot: int, cycle: int, cause: str,
+        killed: bool = True,
+    ) -> None:
         """Remove an in-flight worm: release every held resource, then
         account the drop (the array twin of the engine's ``_kill``)."""
-        core = self.core
         fidx = self.fidx
         stall = cycle - int(core.pk_wait[slot])
         if stall > core.m_maxstall[fidx]:
@@ -653,7 +578,7 @@ class _FastMember:
         core.pk_head_ch[slot] = -1
         src = int(core.pk_src[slot])
         if self.injection_busy[src] == slot:
-            self._release_injection(slot)
+            self._release_injection(core, slot)
         dst = int(core.pk_dst[slot])
         if core.ej_owner[self.node_off + dst] == slot:
             core.ej_owner[self.node_off + dst] = -1
@@ -664,16 +589,17 @@ class _FastMember:
         self.inflight -= 1
         core.m_inflight[fidx] -= 1
         self._finish_drop(
-            src, dst, int(core.pk_len[slot]), int(core.pk_created[slot]),
-            int(core.pk_attempt[slot]), cycle, cause, killed=killed,
+            core, src, dst, int(core.pk_len[slot]),
+            int(core.pk_created[slot]), int(core.pk_attempt[slot]), cycle,
+            cause, killed=killed,
         )
 
     def _finish_drop(
-        self, src: int, dst: int, length: int, created: int, attempt: int,
-        cycle: int, cause: str, killed: bool = False,
+        self, core: "_BatchCore", src: int, dst: int, length: int,
+        created: int, attempt: int, cycle: int, cause: str,
+        killed: bool = False,
     ) -> None:
         """Account one drop event; retry from the source if allowed."""
-        core = self.core
         core.m_lastprog[self.fidx] = cycle  # freed resources are progress
         config = self.config
         result = self.result
@@ -701,8 +627,7 @@ class _FastMember:
         elif measured:
             result.dropped_packets += 1
 
-    def _deliver(self, slot: int, cycle: int) -> None:
-        core = self.core
+    def _deliver(self, core: "_BatchCore", slot: int, cycle: int) -> None:
         core.ej_owner[self.node_off + int(core.pk_dst[slot])] = -1
         core.pk_state[slot] = _DONE
         core._live_dirty = True
@@ -782,8 +707,11 @@ class _BatchCore:
         self.members: List = []
         self.fast: List[_FastMember] = []
         self.demotions: Dict[str, int] = {}
-        self._groups_by_key: Dict[tuple, _GroupTables] = {}
-        self.groups: List[_GroupTables] = []
+        # One group per distinct algorithm object x VC count: the shared
+        # tables (which carry the LUTs on ``array_lut``).  Holding them
+        # here keeps an in-flight batch working if the registry drops
+        # the group meanwhile.
+        self.groups: List[NetworkTables] = []
         group_of: List[int] = []
         for (algorithm, pattern, config), sink, profiler in zip(
             points, sinks, profilers
@@ -797,17 +725,6 @@ class _BatchCore:
             num_vc = config.virtual_channels
             if _lut_entries(algorithm.topology, num_vc) > _LUT_ENTRY_CAP:
                 reasons.append("lut-cap")  # exceeds the memory cap
-            group_index = -1
-            if not reasons:
-                key = _group_key(algorithm, algorithm.topology, num_vc)
-                group = self._groups_by_key.get(key)
-                if group is None:
-                    group = _shared_group(
-                        algorithm, algorithm.topology, num_vc
-                    )
-                    self._groups_by_key[key] = group
-                    self.groups.append(group)
-                group_index = self.groups.index(group)
             if reasons:
                 for reason in reasons:
                     self.demotions[reason] = (
@@ -817,12 +734,15 @@ class _BatchCore:
                     algorithm, pattern, config, sink=sink, profiler=profiler
                 )
             else:
+                tables = shared_tables(algorithm, num_vc)
+                if tables not in self.groups:
+                    self.groups.append(tables)
                 member = _FastMember(
-                    self, len(self.fast), algorithm, pattern, config,
-                    profiler=profiler,
+                    len(self.fast), _group_tables(tables).num_ch, algorithm,
+                    pattern, config, profiler=profiler,
                 )
                 self.fast.append(member)
-                group_of.append(group_index)
+                group_of.append(self.groups.index(tables))
             self.members.append(member)
         # Profiled fast members time the shared kernel passes (the batch
         # advances them together, so each profiler records the same
@@ -837,50 +757,33 @@ class _BatchCore:
         # the event engine's channel numbering; ``ch_link`` maps each
         # lane back to a globally-unique physical link id (the one-flit-
         # per-link-per-cycle resource multi-VC movement arbitrates).
+        # Each group's one-member template is concatenated per member;
+        # per-member constants are repeated over the member's lanes.
+        luts = [self.groups[gi].array_lut for gi in group_of]
+        lanes = np.asarray([lut.num_ch for lut in luts], dtype=np.int64)
         ch_off = 0
         node_off = 0
         link_off = 0
-        src_local: List[int] = []
-        dst_local: List[int] = []
-        ch_noff: List[int] = []
-        dir_idx: List[int] = []
-        link_ids: List[int] = []
-        vc_ids: List[int] = []
-        multi: List[bool] = []
-        warm: List[int] = []
-        series0: List[int] = []
-        series1: List[int] = []
-        any_loads = False
-        any_series = False
-        for member, gi in zip(self.fast, group_of):
+        link_offs: List[int] = []
+        for member, lut in zip(self.fast, luts):
             member.ch_off = ch_off
             member.node_off = node_off
-            group = self.groups[gi]
-            nvc = member.num_vc
-            for phys, channel in enumerate(group.channels):
-                for vc in range(nvc):
-                    src_local.append(channel.src)
-                    dst_local.append(channel.dst)
-                    dir_idx.append(group.dir_index[channel.direction])
-                    link_ids.append(link_off + phys)
-                    vc_ids.append(vc)
-            num_ch = len(group.channels) * nvc
-            multi.extend([nvc > 1] * num_ch)
-            ch_noff.extend([node_off] * num_ch)
-            track = member.config.track_channel_load
-            any_loads = any_loads or track
-            threshold = member.config.warmup_cycles if track else _NEVER
-            warm.extend([threshold] * num_ch)
-            period = member.config.channel_series_period
-            any_series = any_series or period > 0
-            series0.extend(
-                [member.config.warmup_cycles if period > 0 else _NEVER]
-                * num_ch
-            )
-            series1.extend([member.config.generation_cycles] * num_ch)
-            ch_off += num_ch
-            link_off += len(group.channels)
+            link_offs.append(link_off)
+            ch_off += lut.num_ch
+            link_off += lut.num_links
             node_off += member.topology.num_nodes
+
+        def template(name: str):
+            if not luts:
+                return np.empty(0, dtype=np.int64)
+            return np.concatenate([getattr(lut, name) for lut in luts])
+
+        def per_lane(values, dtype=np.int64):
+            return np.repeat(np.asarray(values, dtype=dtype), lanes)
+
+        configs = [m.config for m in self.fast]
+        any_loads = any(c.track_channel_load for c in configs)
+        any_series = any(c.channel_series_period > 0 for c in configs)
         total_ch = ch_off
         total_nodes = node_off
         self.ch_owner = np.full(total_ch, -1, dtype=np.int64)
@@ -893,16 +796,16 @@ class _BatchCore:
         self.ch_mb = np.zeros(total_ch, dtype=np.int64)
         self.ch_prev = np.full(total_ch, -1, dtype=np.int64)
         self.ch_next = np.full(total_ch, -1, dtype=np.int64)
-        self.ch_src_local = np.asarray(src_local, dtype=np.int64)
-        self.ch_dst_local = np.asarray(dst_local, dtype=np.int64)
-        self.ch_dir = np.asarray(dir_idx, dtype=np.int64)
-        self.ch_link = np.asarray(link_ids, dtype=np.int64)
-        self.ch_vc = np.asarray(vc_ids, dtype=np.int64)
+        self.ch_src_local = template("t_src")
+        self.ch_dst_local = template("t_dst")
+        self.ch_dir = template("t_dir")
+        self.ch_link = template("t_link") + per_lane(link_offs)
+        self.ch_vc = template("t_vc")
         # Lanes whose member runs multiple VCs: only their movement is
         # subject to physical-link arbitration (single-VC members map
         # lanes and links one-to-one, so the event engine skips the
         # ``links_used`` bookkeeping there — and so do we).
-        self.ch_multi = np.asarray(multi, dtype=bool)
+        self.ch_multi = per_lane([m.num_vc > 1 for m in self.fast], bool)
         self._any_vc = bool(self.ch_multi.any())
         self._all_vc = bool(self.ch_multi.all())
         self.total_links = link_off
@@ -914,15 +817,21 @@ class _BatchCore:
         # (``_ch_pos[held] = arange``): O(1) gathers where the chain
         # solver and link arbitration would otherwise bisect.
         self._ch_pos = np.zeros(total_ch, dtype=np.int64)
-        self.ch_warm = np.asarray(warm, dtype=np.int64)
+        self.ch_warm = per_lane([
+            c.warmup_cycles if c.track_channel_load else _NEVER
+            for c in configs
+        ])
         self.loads = np.zeros(total_ch, dtype=np.int64) if any_loads else None
         # Streaming channel-util series: one shared counter array with a
         # per-channel measurement window; buckets roll per member on its
         # own schedule (``m_nextroll``).
         if any_series:
             self.ch_series = np.zeros(total_ch, dtype=np.int64)
-            self.ch_s0 = np.asarray(series0, dtype=np.int64)
-            self.ch_s1 = np.asarray(series1, dtype=np.int64)
+            self.ch_s0 = per_lane([
+                c.warmup_cycles if c.channel_series_period > 0 else _NEVER
+                for c in configs
+            ])
+            self.ch_s1 = per_lane([c.generation_cycles for c in configs])
         else:
             self.ch_series = None
             self.ch_s0 = None
@@ -936,9 +845,7 @@ class _BatchCore:
         self.ch_freed = np.zeros(total_ch + 1, dtype=bool)
         self._any_freed = False
         self._wpad = total_ch
-        self._wwidth = max(
-            (2 * g.K for g in self.groups if g.ok), default=1
-        )
+        self._wwidth = max((2 * lut.K for lut in luts), default=1)
 
         nfast = len(self.fast)
         self.f_group = np.asarray(group_of, dtype=np.int64)
@@ -1055,7 +962,7 @@ class _BatchCore:
         # once per cycle and frozen during arbitration exactly like
         # EngineCongestionView (grants and moves happen after the scan).
         if needs_cong:
-            noff = np.asarray(ch_noff, dtype=np.int64)
+            noff = per_lane([m.node_off for m in self.fast])
             self.ch_src_g = self.ch_src_local + noff
             self.ch_dst_g = self.ch_dst_local + noff
             depth_nodes: List[int] = []
@@ -1186,13 +1093,13 @@ class _BatchCore:
         # Compact away slots delivered/killed in earlier cycles so the
         # victim scans below see exactly the live worms.
         self._refresh_live()
-        group = self.groups[int(self.f_group[fidx])]
+        channel_index = self.groups[int(self.f_group[fidx])].index.channel_index
         for action, event in events:
             if event.kind == CHANNEL_FAULT:
                 key = (event.node, event.direction)
                 if action == FAIL:
                     member.dead_channels.add(key)
-                    cid = group.channel_ids.get(key)
+                    cid = channel_index.get(key)
                     if cid is not None:
                         # A failed physical channel takes every runtime
                         # VC lane with it; holders die in ascending VC
@@ -1201,7 +1108,7 @@ class _BatchCore:
                         for rt in range(base, base + member.num_vc):
                             holder = int(self.ch_owner[rt])
                             if holder >= 0:
-                                member._kill(holder, cycle, "link-failure")
+                                member._kill(self, holder, cycle, "link-failure")
                 else:
                     member.dead_channels.discard(key)
             else:
@@ -1249,19 +1156,21 @@ class _BatchCore:
                     break
                 c = int(self.ch_next[c])
         for slot in victims:
-            member._kill(slot, cycle, "router-failure")
+            member._kill(self, slot, cycle, "router-failure")
 
     def _recompute_dead(self, member: _FastMember) -> None:
         """Rebuild the member's slice of the runtime dead-channel mask
         (FaultState.channel_dead over the LUT channel universe) and,
         when congestion policies are live, its per-node output degree."""
-        group = self.groups[int(self.f_group[member.fidx])]
+        channel_index = (
+            self.groups[int(self.f_group[member.fidx])].index.channel_index
+        )
         lo = member.ch_off
         hi = lo + member.num_ch
         dead = np.zeros(member.num_ch, dtype=bool)
         nvc = member.num_vc
         for key in member.dead_channels:
-            cid = group.channel_ids.get(key)
+            cid = channel_index.get(key)
             if cid is not None:
                 dead[cid * nvc : (cid + 1) * nvc] = True
         if member.dead_routers:
@@ -1321,11 +1230,11 @@ class _BatchCore:
                 )
             else:
                 grp = self.f_group[self.pk_sim[routing]]
-                for gi, group in enumerate(self.groups):
+                for gi, tables in enumerate(self.groups):
                     sel = grp == gi
                     if sel.any():
                         self._collect_requests(
-                            group, routing[sel], req_slots, req_ch, req_mis,
+                            tables, routing[sel], req_slots, req_ch, req_mis,
                             cycle,
                         )
         if req_slots:
@@ -1368,9 +1277,10 @@ class _BatchCore:
                 self.m_lastprog[self.pk_sim[winners]] = cycle
 
     def _collect_requests(
-        self, group: _GroupTables, slots, req_slots, req_ch, req_mis,
+        self, tables: NetworkTables, slots, req_slots, req_ch, req_mis,
         cycle: int,
     ) -> None:
+        group: _GroupTables = tables.array_lut
         sims = self.pk_sim[slots]
         node = self.pk_head_node[slots]
         dest = self.pk_dst[slots]
@@ -1383,7 +1293,7 @@ class _BatchCore:
             # Multi-VC rows carry the arrival-VC class (pk_head_vc is 0
             # pre-injection, exactly the engine's in_vc=None memo key).
             rows = rows * num_vc + self.pk_head_vc[slots]
-        group.ensure_rows(rows, escape=False)
+        group.ensure_rows(tables, rows, escape=False)
         offs = self.f_ch_off[sims][:, None]
         cand = group.cand[rows]
         valid = cand >= 0
@@ -1453,7 +1363,7 @@ class _BatchCore:
             )[0]
             if eidx.size:
                 erows = brows[eidx]
-                group.ensure_rows(erows, escape=True)
+                group.ensure_rows(tables, erows, escape=True)
                 cand = group.esc[erows]
                 valid = cand >= 0
                 gchan = cand + offs[bidx][eidx]
@@ -1907,7 +1817,9 @@ class _BatchCore:
                 )
                 dslots = dslots[np.lexsort((key, simsd))]
             for slot in dslots:
-                self.fast[int(self.pk_sim[slot])]._deliver(int(slot), cycle)
+                self.fast[int(self.pk_sim[slot])]._deliver(
+                    self, int(slot), cycle
+                )
         if launch_done:
             ls = np.concatenate(launch_done)
             if self._any_vc:
@@ -1917,7 +1829,9 @@ class _BatchCore:
             else:
                 ls = np.sort(ls)
             for slot in ls:
-                self.fast[int(self.pk_sim[slot])]._release_injection(int(slot))
+                self.fast[int(self.pk_sim[slot])]._release_injection(
+                    self, int(slot)
+                )
         if act.any():
             # Duplicate member hits assign the same value — no reduction
             # needed, so skip the np.unique pass.
@@ -2261,7 +2175,8 @@ class _BatchCore:
         the wait-for graph (circular wait vs dead-end stall) exactly
         like the engine's ``_check_packet_timeouts``."""
         graph: DiGraph = DiGraph()
-        group = self.groups[int(self.f_group[member.fidx])]
+        tables = self.groups[int(self.f_group[member.fidx])]
+        group: _GroupTables = tables.array_lut
         ch_off = member.ch_off
         node_off = member.node_off
         span = group.num_dirs + 1
@@ -2284,7 +2199,7 @@ class _BatchCore:
                 # pairs for the header's arrival VC class, in candidate
                 # order — the same rows arbitration reads.
                 row = row * group.num_vc + int(self.pk_head_vc[slot])
-            group.ensure_rows(np.asarray([row]), escape=False)
+            group.ensure_rows(tables, np.asarray([row]), escape=False)
             holders: List[int] = []
             blocked = True
             for cid in group.cand[row]:
@@ -2309,7 +2224,7 @@ class _BatchCore:
             cause = (
                 "timeout-deadlock" if slot in circular else "timeout-stall"
             )
-            member._kill(slot, cycle, cause, killed=False)
+            member._kill(self, slot, cycle, cause, killed=False)
 
     # -- per-cycle member bookkeeping ---------------------------------------
 
@@ -2383,7 +2298,7 @@ class _BatchCore:
                 self._apply_faults(fast[int(f)], cycle)
         if self._any_drops:
             for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
-                fast[int(f)]._pop_retries(cycle)
+                fast[int(f)]._pop_retries(self, cycle)
         # Generation/injection touch Python only for members whose
         # arrival calendar or injector backlog is due.
         for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
@@ -2391,9 +2306,9 @@ class _BatchCore:
             if cycle >= member.config.generation_cycles:
                 self.m_nextgen[f] = np.inf
             else:
-                member._generate(cycle)
+                member._generate(self, cycle)
         for f in np.nonzero(m_act & self.m_pending)[0]:
-            fast[int(f)]._inject(cycle)
+            fast[int(f)]._inject(self, cycle)
         self._refresh_live()
         self._arbitrate_vec(cycle)
         self._move_vec(cycle)
@@ -2429,17 +2344,17 @@ class _BatchCore:
         t = self._mark("faults", t)
         if self._any_drops:
             for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
-                fast[int(f)]._pop_retries(cycle)
+                fast[int(f)]._pop_retries(self, cycle)
         t = self._mark("retries", t)
         for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
             member = fast[int(f)]
             if cycle >= member.config.generation_cycles:
                 self.m_nextgen[f] = np.inf
             else:
-                member._generate(cycle)
+                member._generate(self, cycle)
         t = self._mark("generate", t)
         for f in np.nonzero(m_act & self.m_pending)[0]:
-            fast[int(f)]._inject(cycle)
+            fast[int(f)]._inject(self, cycle)
         t = self._mark("inject", t)
         self._refresh_live()
         self._arbitrate_vec(cycle)

@@ -25,11 +25,15 @@ tests pin the optimised engine to the numbers captured before any of
 this existed):
 
 * **routing-table precomputation** — candidate channels are a pure
-  function of ``(node, destination, arrival direction[, vc])``; a
-  :class:`~repro.routing.table.RoutingTable` plus an engine-side memo of
-  ``(direction, runtime channel id)`` pairs turns the per-cycle routing
-  derivation into a dict hit.  Fault events invalidate exactly the
-  entries touching the dead (or healed) hardware;
+  function of ``(node, destination, arrival direction[, vc])``; the
+  process-wide :class:`~repro.routing.table.NetworkTables` of the
+  algorithm object (:func:`~repro.routing.table.shared_tables`) answers
+  each decision as ``(direction, runtime channel id, misroute bit)``
+  triples derived once, so every simulator of a campaign reads the same
+  tables and a routing decision is a dict hit.  A fault plan layers a
+  private mask over the shared answers; fault events invalidate exactly
+  the masked rows touching the dead (or healed) hardware and never
+  write to the shared tables;
 * **arrival calendar** — sources sit in a heap keyed on their next
   arrival time, so a cycle in which no source fires costs one peek
   instead of a full scan; due sources are drained in source-list order,
@@ -85,7 +89,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..faults.plan import CHANNEL_FAULT, FAIL
-from ..faults.routing import FaultAwareRouting
+from ..faults.routing import FaultAwareRouting, MaskedTables
 from ..faults.state import FaultState
 from ..observability.collectors import MetricsCollectors
 from ..observability.events import (
@@ -101,7 +105,7 @@ from ..observability.events import (
 )
 from ..routing.base import RoutingAlgorithm
 from ..routing.selection.congestion import EngineCongestionView
-from ..routing.table import RoutingTable
+from ..routing.table import shared_tables
 from ..topology.base import Topology
 from .config import SimulationConfig
 from .metrics import SimulationResult
@@ -136,19 +140,15 @@ class WormholeSimulator:
         self.output_policy = make_output_policy(config)
         self.input_policy = get_input_policy(config.input_selection)
 
-        # Dense channel indexing for the runtime state.  With virtual
-        # channels, each physical channel expands into ``num_vc`` runtime
-        # channels sharing the physical link's bandwidth; runtime id
-        # ``base + vc`` where ``base = channel_ids[(src, direction)]``.
+        # The immutable part of the network — runtime channels (physical
+        # channel ``i`` expands into ``num_vc`` lanes ``i * num_vc + vc``
+        # sharing the link's bandwidth), ``channel_ids[(src, direction)]``
+        # = a link's first lane, and the algorithm's routing answers —
+        # is built once per process and shared (docs/PERFORMANCE.md).
         self.num_vc = config.virtual_channels
-        physical = list(self.topology.channels())
-        self.channels: List = [
-            c for c in physical for _ in range(self.num_vc)
-        ]
-        self.channel_ids: Dict[tuple, int] = {
-            (c.src, c.direction): i * self.num_vc
-            for i, c in enumerate(physical)
-        }
+        self._tables = tables = shared_tables(algorithm, self.num_vc)
+        self.channels = tables.channels
+        self.channel_ids = tables.channel_ids
         self.channel_alloc: List[Optional[Packet]] = [None] * len(self.channels)
         self.ejection_alloc: List[Optional[Packet]] = [None] * self.topology.num_nodes
         self.injection_busy: List[Optional[Packet]] = [None] * self.topology.num_nodes
@@ -209,12 +209,13 @@ class WormholeSimulator:
         if getattr(self.output_policy, "uses_congestion", False):
             self.output_policy.bind(EngineCongestionView(self))
 
-        # Routing-table precomputation: the table memoises the (possibly
-        # fault-masked) algorithm's candidate tuples; the pair cache
-        # layers the dense runtime channel ids on top.  Fault events
-        # invalidate exactly the touched nodes in both.
-        self.routing_table = RoutingTable(self.algorithm)
-        self._pair_cache: Dict[int, Dict[tuple, tuple]] = {}
+        # Routing decisions come from the shared tables — through a
+        # private fault mask when this run has a fault plan.
+        routes = tables
+        if self.fault_state is not None:
+            routes = self._masked = MaskedTables(tables, self.fault_state)
+        self._minimal = routes.minimal
+        self._escape = routes.escape
 
         # Channel-free wakeup sets: parked headers (still in ``waiting``)
         # skipped by arbitration until a watched channel or ejection port
@@ -546,114 +547,41 @@ class WormholeSimulator:
 
     # -- stage 2: arbitration --------------------------------------------------
 
-    def _route_pairs(self, node: int, dest: int, in_direction) -> tuple:
-        """Memoised ``(direction, runtime channel id)`` pairs for the
-        algorithm's minimal candidates at this routing decision."""
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = (dest, in_direction)
-        pairs = per_node.get(key)
-        if pairs is None:
-            channel_ids = self.channel_ids
-            pairs = per_node[key] = tuple(
-                (d, channel_ids[(node, d)])
-                for d in self.routing_table.candidates(node, dest, in_direction)
-            )
-        return pairs
-
-    def _escape_pairs(self, node: int, dest: int, in_direction) -> tuple:
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = ("e", dest, in_direction)
-        pairs = per_node.get(key)
-        if pairs is None:
-            channel_ids = self.channel_ids
-            pairs = per_node[key] = tuple(
-                (d, channel_ids[(node, d)])
-                for d in self.routing_table.escape_candidates(
-                    node, dest, in_direction
-                )
-            )
-        return pairs
-
-    def _vc_pairs(self, node: int, dest: int, in_direction, in_vc) -> tuple:
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = ("v", dest, in_direction, in_vc)
-        pairs = per_node.get(key)
-        if pairs is None:
-            num_vc = self.num_vc
-            channel_ids = self.channel_ids
-            built = []
-            for d, vc in self.routing_table.vc_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            ):
-                base = channel_ids.get((node, d))
-                if base is None or not 0 <= vc < num_vc:
-                    continue
-                built.append((d, base + vc))
-            pairs = per_node[key] = tuple(built)
-        return pairs
-
-    def _vc_escape_pairs(self, node: int, dest: int, in_direction, in_vc) -> tuple:
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = ("w", dest, in_direction, in_vc)
-        pairs = per_node.get(key)
-        if pairs is None:
-            num_vc = self.num_vc
-            channel_ids = self.channel_ids
-            built = []
-            for d, vc in self.routing_table.vc_escape_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            ):
-                base = channel_ids.get((node, d))
-                if base is None or not 0 <= vc < num_vc:
-                    continue
-                built.append((d, base + vc))
-            pairs = per_node[key] = tuple(built)
-        return pairs
+    def _port(self, packet: Packet) -> int:
+        """The router input port this header waits at (the key of its
+        routing decision): the port its arrival channel feeds, or its
+        source's injection port while it holds no channel yet."""
+        holds = packet.holds
+        if holds:
+            return self._tables.arrive_port[holds[-1].channel_id]
+        return packet.head_node * self._tables.node_ports
 
     def _candidate_channels(self, packet: Packet) -> List[tuple]:
-        """Free (direction, runtime channel id) pairs for this header,
-        served from the routing-table pair memo."""
+        """Free ``(direction, runtime channel id, misroute bit)``
+        candidates for this header, served from the routing tables."""
         alloc = self.channel_alloc
-        node = packet.head_node
+        port = self._port(packet)
         dest = packet.dst
-        in_direction = packet.head_direction
-        if self.num_vc == 1:
-            pairs = self._route_pairs(node, dest, in_direction)
-            free = [pc for pc in pairs if alloc[pc[1]] is None]
-            if not free and packet.misroutes < self.config.misroute_limit:
-                pairs = self._escape_pairs(node, dest, in_direction)
-                free = [pc for pc in pairs if alloc[pc[1]] is None]
-            return free
-        in_vc = packet.head_vc
-        pairs = self._vc_pairs(node, dest, in_direction, in_vc)
-        free = [pc for pc in pairs if alloc[pc[1]] is None]
+        free = [c for c in self._minimal(port, dest) if alloc[c[1]] is None]
         if not free and packet.misroutes < self.config.misroute_limit:
-            pairs = self._vc_escape_pairs(node, dest, in_direction, in_vc)
-            free = [pc for pc in pairs if alloc[pc[1]] is None]
+            free = [c for c in self._escape(port, dest) if alloc[c[1]] is None]
         return free
 
     def _candidate_channels_reference(self, packet: Packet) -> List[tuple]:
-        """Free (direction, runtime channel id) pairs, derived from
-        scratch on every call (the pre-table hot path, kept for the
-        equivalence suite)."""
+        """Free candidates derived from scratch on every call — the
+        algorithm asked directly, the misroute bit from two distance
+        computations (the pre-table hot path, kept for the equivalence
+        suite)."""
         if self.num_vc == 1:
             cands = self.algorithm.candidates(
                 packet.head_node, packet.dst, packet.head_direction
             )
-            free = self._filter_free_single(packet.head_node, cands)
+            free = self._filter_free(packet, [(d, 0) for d in cands])
             if not free and packet.misroutes < self.config.misroute_limit:
                 escapes = self.algorithm.escape_candidates(
                     packet.head_node, packet.dst, packet.head_direction
                 )
-                free = self._filter_free_single(packet.head_node, escapes)
+                free = self._filter_free(packet, [(d, 0) for d in escapes])
             return free
         pairs = self.algorithm.vc_candidates(
             packet.head_node,
@@ -662,7 +590,7 @@ class WormholeSimulator:
             packet.head_vc,
             self.num_vc,
         )
-        free = self._filter_free_vc(packet.head_node, pairs)
+        free = self._filter_free(packet, pairs)
         if not free and packet.misroutes < self.config.misroute_limit:
             escapes = self.algorithm.vc_escape_candidates(
                 packet.head_node,
@@ -671,26 +599,27 @@ class WormholeSimulator:
                 packet.head_vc,
                 self.num_vc,
             )
-            free = self._filter_free_vc(packet.head_node, escapes)
+            free = self._filter_free(packet, escapes)
         return free
 
-    def _filter_free_single(self, node: int, directions) -> List[tuple]:
-        out = []
-        for direction in directions:
-            cid = self.channel_ids[(node, direction)]
-            if self.channel_alloc[cid] is None:
-                out.append((direction, cid))
-        return out
-
-    def _filter_free_vc(self, node: int, pairs) -> List[tuple]:
+    def _filter_free(self, packet: Packet, pairs) -> List[tuple]:
+        node = packet.head_node
+        distance = self.topology.distance
         out = []
         for direction, vc in pairs:
-            base = self.channel_ids.get((node, direction))
-            if base is None or not 0 <= vc < self.num_vc:
-                continue
-            cid = base + vc
+            if self.num_vc == 1:
+                cid = self.channel_ids[(node, direction)]
+            else:
+                base = self.channel_ids.get((node, direction))
+                if base is None or not 0 <= vc < self.num_vc:
+                    continue
+                cid = base + vc
             if self.channel_alloc[cid] is None:
-                out.append((direction, cid))
+                misroute = int(
+                    distance(self.channels[cid].dst, packet.dst)
+                    >= distance(node, packet.dst)
+                )
+                out.append((direction, cid, misroute))
         return out
 
     # -- channel-free wakeup sets ---------------------------------------------
@@ -703,22 +632,12 @@ class WormholeSimulator:
         A parked header provably has zero free candidates, and its
         candidate set is a pure function of state that cannot change
         while it waits — so skipping its scan is unobservable."""
-        node = packet.head_node
-        dest = packet.dst
-        in_direction = packet.head_direction
-        if self.num_vc == 1:
-            pairs = self._route_pairs(node, dest, in_direction)
-            if packet.misroutes < self.config.misroute_limit:
-                pairs = pairs + self._escape_pairs(node, dest, in_direction)
-        else:
-            in_vc = packet.head_vc
-            pairs = self._vc_pairs(node, dest, in_direction, in_vc)
-            if packet.misroutes < self.config.misroute_limit:
-                pairs = pairs + self._vc_escape_pairs(
-                    node, dest, in_direction, in_vc
-                )
+        port = self._port(packet)
+        pairs = self._minimal(port, packet.dst)
+        if packet.misroutes < self.config.misroute_limit:
+            pairs = pairs + self._escape(port, packet.dst)
         watchers = self._channel_watchers
-        for _, cid in pairs:
+        for _, cid, _ in pairs:
             ws = watchers.get(cid)
             if ws is None:
                 ws = watchers[cid] = set()
@@ -763,6 +682,7 @@ class WormholeSimulator:
             return  # every waiting header is parked on a wakeup set
         channel_requests: Dict[int, List[Packet]] = {}
         eject_requests: Dict[int, List[Packet]] = {}
+        misrouting: Set[Packet] = set()  # requests for a nonminimal hop
         emit = self._emit
         wakeups = self._wakeups
         candidate_channels = self._candidate_channels
@@ -789,16 +709,20 @@ class WormholeSimulator:
                     self._park(packet)
                 continue
             directions = []
-            for direction, _ in free:
+            for direction, _, _ in free:
                 if direction not in directions:
                     directions.append(direction)
             direction = output_policy(directions, packet, rng)
             # Respect the algorithm's virtual-channel preference order.
-            cid = next(c for d, c in free if d == direction)
+            cid, misroute = next(
+                (c, m) for d, c, m in free if d == direction
+            )
             channel_requests.setdefault(cid, []).append(packet)
+            if misroute:
+                misrouting.add(packet)
         for cid, contenders in channel_requests.items():
             winner = self.input_policy(contenders, rng)
-            self._grant_channel(winner, cid)
+            self._grant_channel(winner, cid, winner in misrouting)
         for node, contenders in eject_requests.items():
             winner = self.input_policy(contenders, rng)
             self.ejection_alloc[node] = winner
@@ -819,7 +743,7 @@ class WormholeSimulator:
             TraceEvent(BLOCKED, cycle, pid=packet.pid, node=packet.head_node)
         )
 
-    def _grant_channel(self, packet: Packet, cid: int) -> None:
+    def _grant_channel(self, packet: Packet, cid: int, misroute: bool) -> None:
         if self.cycle >= self.config.warmup_cycles:
             waited = self.cycle - packet.header_wait_since
             if waited > self.result.max_grant_wait_cycles:
@@ -829,9 +753,7 @@ class WormholeSimulator:
         packet.holds.append(ChannelHold(cid))
         packet.state = PacketState.MOVING
         packet.hops += 1
-        if self.topology.distance(
-            channel.dst, packet.dst
-        ) >= self.topology.distance(channel.src, packet.dst):
+        if misroute:
             packet.misroutes += 1
         self.waiting.pop(packet, None)
         self.dormant.discard(packet)
@@ -987,10 +909,10 @@ class WormholeSimulator:
     def _apply_faults(self, cycle: int) -> None:
         """Fire the fault plan's scheduled changes for this cycle.
 
-        Every fired event invalidates the routing-table and pair-cache
-        entries of exactly the nodes whose candidate masks it touches,
-        and wakes every parked header (their watch sets may be stale
-        against the new masks)."""
+        Every fired event drops the privately masked decisions of exactly
+        the nodes whose candidate masks it touches (the shared tables
+        are unmasked and stay as they are), and wakes every parked
+        header (their watch sets may be stale against the new masks)."""
         events = self._fault_schedule.pop(cycle, None)
         if not events:
             return
@@ -1029,12 +951,10 @@ class WormholeSimulator:
                         and self.injection_busy[event.node] is None
                     ):
                         self.pending_nodes.add(event.node)
-            for node in self.routing_table.affected_nodes(
-                self.topology, event.node,
-                channel_only=(event.kind == CHANNEL_FAULT),
+            for node in self._tables.index.affected_nodes(
+                event.node, channel_only=(event.kind == CHANNEL_FAULT)
             ):
-                self.routing_table.invalidate_node(node)
-                self._pair_cache.pop(node, None)
+                self._masked.invalidate(node)
         self._wake_all()
 
     def _kill_channel_holders(self, event, cycle: int) -> None:

@@ -121,8 +121,12 @@ class Topology:
             int(_product(dims[:i])) for i in range(len(dims))
         )
         self._num_nodes = int(_product(dims))
+        self._directions = tuple(all_directions(len(dims)))
         self._channels: Optional[Tuple[Channel, ...]] = None
         self._channel_by_src_dir: Optional[Dict[Tuple[int, Direction], Channel]] = None
+        # Filled by repro.routing.table.network_index (derived lookup
+        # structures over channels(), shared by every table and engine).
+        self._network_index = None
 
     # -- shape ---------------------------------------------------------
 
@@ -139,9 +143,9 @@ class Topology:
     def num_nodes(self) -> int:
         return self._num_nodes
 
-    def directions(self) -> List[Direction]:
+    def directions(self) -> Tuple[Direction, ...]:
         """All directions a packet can travel in this topology."""
-        return all_directions(self.n_dims)
+        return self._directions
 
     # -- coordinates -----------------------------------------------------
 

@@ -128,6 +128,32 @@ class TestChaosCampaign:
         for spec, result in zip(specs, report.results):
             assert result == spec.clean().execute()
 
+    def test_workers_forked_from_a_warm_parent_stay_identical(self, tmp_path):
+        """The parent simulates the campaign inline first, so the
+        workers it then forks inherit its warm shared routing tables —
+        and a SIGKILLed (hung) or crashed worker's replacement, forked
+        later still, must produce the very same points."""
+        specs = campaign_specs(24)
+        serial = ParallelSweepRunner(jobs=1, cache=None).run_points(specs)
+        chaotic = chaos_batch(
+            specs, chaos_seed=9, failure_rate=0.3, fail_attempts=1
+        )
+        modes = {spec.chaos_mode() for spec in chaotic}
+        assert {"hang", "crash"} <= modes, "seed must kill some workers"
+        runner = ParallelSweepRunner(
+            jobs=2,
+            cache=ResultCache(tmp_path / "cache"),
+            journal=CampaignJournal(tmp_path / "campaign.jsonl"),
+            keep_going=True,
+            point_timeout=2.0,
+            max_point_retries=1,
+            retry_backoff_base=0.01,
+        )
+        report = runner.run_batch(chaotic)
+        assert report.ok
+        assert runner.stats.retried >= 2
+        assert report.results == serial
+
     def test_sigkilled_campaign_resumes_from_the_journal(self, tmp_path):
         """SIGKILL a journaled campaign mid-flight; resuming re-executes
         exactly the complement of what the journal recorded."""

@@ -145,7 +145,7 @@ class TestFaultComposition:
 
     def test_simulator_invalidates_on_fault_events(self):
         # End-to-end: a mid-run link failure must flow through the
-        # engine's invalidation hook into the table.
+        # engine's invalidation hook into its private masked rows.
         from repro.analysis.runner import make_pattern
         from repro.simulation.config import SimulationConfig
         from repro.simulation.engine import WormholeSimulator
@@ -163,9 +163,15 @@ class TestFaultComposition:
         )
         result = sim.run()
         assert result.generated_packets > 0
-        # The masked table must never offer a dead channel.
+        # The private masked decisions must never offer a dead channel.
         state = sim.fault_state
-        for node, rows in sim._pair_cache.items():
-            for pairs in rows.values():
-                for direction, _ in pairs:
-                    assert (node, direction) not in state.dead_channels
+        node_ports = sim._tables.node_ports
+        masked = 0
+        for rows in sim._masked._rows:
+            for port, row in enumerate(rows):
+                for decision in (row or {}).values():
+                    masked += 1
+                    for direction, _, _ in decision:
+                        key = (port // node_ports, direction)
+                        assert key not in state.dead_channels
+        assert masked > 0

@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+import repro.routing.table as table
 import repro.simulation.array_engine as ae
 from repro.analysis.runner import make_pattern, parse_topology_spec
 from repro.faults.plan import FaultPlan
@@ -231,7 +232,6 @@ class TestBatchSimulator:
 
     def test_lut_cap_demotes_to_scalar_fallback(self, monkeypatch):
         monkeypatch.setattr(ae, "_LUT_ENTRY_CAP", 0)
-        monkeypatch.setattr(ae, "_GROUP_CACHE", {})
         algorithm, pattern, config = build_point()
         sim = ArrayWormholeSimulator(
             algorithm, pattern, config.with_backend("array")
@@ -242,43 +242,49 @@ class TestBatchSimulator:
         )
 
     def test_group_cache_shared_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(ae, "_GROUP_CACHE", {})
+        # Groups are the shared tables of one algorithm *object*: two
+        # points on the same object share one, and the registry bound
+        # caps how many are retained.
+        monkeypatch.setattr(table, "_SHARED", {})
         a1, p1, c1 = build_point(seed=3)
-        a2, p2, c2 = build_point(seed=5)
-        BatchSimulator([
+        _, p2, c2 = build_point(seed=5)
+        batch = BatchSimulator([
             (a1, p1, c1.with_backend("array")),
-            (a2, p2, c2.with_backend("array")),
+            (a1, p2, c2.with_backend("array")),
         ])
-        assert len(ae._GROUP_CACHE) == 1  # same algorithm+topology key
-        for k in range(ae._GROUP_CACHE_MAX + 2):
+        assert len(table._SHARED) == 1  # same algorithm object
+        assert len(batch._core.groups) == 1
+        for k in range(table._SHARED_MAX + 2):
             a, p, c = build_point(f"mesh:3x{k + 3}", measure_cycles=50)
             ArrayWormholeSimulator(a, p, c.with_backend("array"))
-        assert len(ae._GROUP_CACHE) <= ae._GROUP_CACHE_MAX
+        assert len(table._SHARED) <= table._SHARED_MAX
 
     def test_group_cache_reused_across_successive_batches(
         self, monkeypatch
     ):
-        # A second BatchSimulator over the same (algorithm, topology)
-        # group must reuse the very same _GroupTables object — that
-        # identity is what amortises LUT construction across a campaign.
-        monkeypatch.setattr(ae, "_GROUP_CACHE", {})
+        # A second BatchSimulator over the same algorithm object must
+        # reuse the very same tables and LUT objects — that identity is
+        # what amortises LUT construction across a campaign.
+        monkeypatch.setattr(table, "_SHARED", {})
         a1, p1, c1 = build_point(seed=3, measure_cycles=50)
         BatchSimulator([(a1, p1, c1.with_backend("array"))]).run()
-        (first,) = ae._GROUP_CACHE.values()
-        built_rows = int(first.cbuilt.sum())
+        (first,) = table._SHARED.values()
+        lut = first.array_lut
+        built_rows = int(lut.cbuilt.sum())
         assert built_rows > 0  # the run populated LUT rows
-        a2, p2, c2 = build_point(seed=5, measure_cycles=50)
-        BatchSimulator([(a2, p2, c2.with_backend("array"))]).run()
-        (second,) = ae._GROUP_CACHE.values()
+        _, p2, c2 = build_point(seed=5, measure_cycles=50)
+        BatchSimulator([(a1, p2, c2.with_backend("array"))]).run()
+        (second,) = table._SHARED.values()
         assert second is first  # identity, not an equal rebuild
-        assert int(first.cbuilt.sum()) >= built_rows
+        assert second.array_lut is lut
+        assert int(lut.cbuilt.sum()) >= built_rows
 
     def test_group_cache_keys_vc_classes_separately(self, monkeypatch):
-        # The cache key includes the VC-class dimension: dateline LUTs
-        # for vc=2 must never alias the vc=1 (or vc=3) tables of the
-        # same algorithm+topology, while equal-num_vc batches still
-        # reuse the identical _GroupTables object.
-        monkeypatch.setattr(ae, "_GROUP_CACHE", {})
+        # The registry key includes the VC-class dimension: dateline
+        # LUTs for vc=2 must never alias the vc=1 (or vc=3) tables of
+        # the same algorithm object, while equal-num_vc batches still
+        # reuse the identical objects.
+        monkeypatch.setattr(table, "_SHARED", {})
         a, p, c = build_point(
             "torus:4x2", "dateline-dimension-order", offered_load=0.6,
             measure_cycles=50,
@@ -286,38 +292,57 @@ class TestBatchSimulator:
         for num_vc in (1, 2, 3):
             cfg = dataclasses.replace(c, virtual_channels=num_vc)
             BatchSimulator([(a, p, cfg.with_backend("array"))]).run()
-        assert len(ae._GROUP_CACHE) == 3
-        keys = {
-            ae._group_key(a, p.topology, num_vc) for num_vc in (1, 2, 3)
-        }
-        assert keys == set(ae._GROUP_CACHE)
-        two = ae._GROUP_CACHE[ae._group_key(a, p.topology, 2)]
+        assert set(table._SHARED) == {(id(a), n) for n in (1, 2, 3)}
+        luts = {n: table._SHARED[(id(a), n)].array_lut for n in (1, 2, 3)}
+        assert len({id(lut) for lut in luts.values()}) == 3
         cfg = dataclasses.replace(c, virtual_channels=2)
         BatchSimulator([(a, p, cfg.with_backend("array"))]).run()
-        again = ae._GROUP_CACHE[ae._group_key(a, p.topology, 2)]
-        assert again is two  # identity reuse within a VC class
+        assert table._SHARED[(id(a), 2)].array_lut is luts[2]
 
     def test_group_cache_evicts_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(ae, "_GROUP_CACHE", {})
+        monkeypatch.setattr(table, "_SHARED", {})
         keys = []
-        for k in range(ae._GROUP_CACHE_MAX + 1):
+        for k in range(table._SHARED_MAX + 1):
             a, p, c = build_point(f"mesh:3x{k + 3}", measure_cycles=50)
             ArrayWormholeSimulator(a, p, c.with_backend("array"))
-            keys.append(ae._group_key(a, p.topology))
-        assert len(ae._GROUP_CACHE) == ae._GROUP_CACHE_MAX
-        assert keys[0] not in ae._GROUP_CACHE  # FIFO: oldest evicted
-        assert all(k in ae._GROUP_CACHE for k in keys[1:])
+            keys.append((id(a), 1))
+        assert len(table._SHARED) == table._SHARED_MAX
+        assert keys[0] not in table._SHARED  # oldest evicted
+        assert all(k in table._SHARED for k in keys[1:])
+
+    def test_finished_batch_is_freed_by_refcount(self):
+        # No member -> core back reference: with the cycle collector
+        # off, dropping the BatchSimulator must free the arena at once
+        # (cyclic garbage lingered until a gen-2 pass and grew peak RSS
+        # across a campaign's batches).
+        import gc
+        import weakref
+
+        a, p, c = build_point(measure_cycles=50)
+        gc.collect()
+        gc.disable()
+        try:
+            batch = BatchSimulator([
+                (a, p, c.with_seed(s).with_backend("array")) for s in range(3)
+            ])
+            results = batch.run()
+            core = weakref.ref(batch._core)
+            del batch
+            assert core() is None
+            assert len(results) == 3  # the results outlive the arena
+        finally:
+            gc.enable()
 
     def test_lut_entry_cap_exact_boundary(self, monkeypatch):
         # The gate is ``rows * K <= _LUT_ENTRY_CAP``: a cap exactly at
         # the group's entry count stays vectorized; one below demotes.
         algorithm, pattern, config = build_point()
-        entries = ae._GroupTables(algorithm, pattern.topology).cand.size
+        entries = ae._lut_entries(pattern.topology, 1)
+        assert entries == ae._GroupTables(table.shared_tables(algorithm)).cand.size
         for cap, expect_fast in [
             (entries + 1, True), (entries, True), (entries - 1, False),
         ]:
             monkeypatch.setattr(ae, "_LUT_ENTRY_CAP", cap)
-            monkeypatch.setattr(ae, "_GROUP_CACHE", {})
             sim = ArrayWormholeSimulator(
                 algorithm, pattern, config.with_backend("array")
             )

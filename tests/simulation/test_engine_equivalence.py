@@ -280,3 +280,76 @@ class TestObservabilityEquivalence:
         assert_equivalent(
             "mesh:6x6", "west-first", "uniform", config, trace=False
         )
+
+
+class TestSharedTablesIsolation:
+    """Fault plans mask the shared routing tables privately: a faulted
+    run must leave nothing behind for a later fault-free run on the same
+    algorithm object, on either backend."""
+
+    SPEC = "mesh:6x6"
+
+    def fault_configs(self):
+        from repro.faults.plan import FaultEvent
+
+        topology = parse_topology_spec(self.SPEC)
+        base = SimulationConfig(
+            offered_load=1.0, warmup_cycles=100, measure_cycles=400,
+            seed=3, drain_cycles=100, packet_timeout=250, max_retries=1,
+        )
+        permanent = FaultPlan.random_links(topology, 3, seed=4, start=150)
+        transient = FaultPlan.random_links(
+            topology, 3, seed=5, start=150, end=300
+        )
+        router = FaultPlan(events=(FaultEvent.router(14, start=200),))
+        return [
+            dataclasses.replace(base, fault_plan=plan)
+            for plan in (permanent, transient, router)
+        ]
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "event",
+            pytest.param(
+                "array",
+                marks=pytest.mark.skipif(
+                    not numpy_available(), reason="numpy not installed"
+                ),
+            ),
+        ],
+    )
+    def test_fault_runs_leave_shared_answers_untouched(self, backend):
+        from repro.routing.table import NetworkTables, shared_tables
+        from repro.topology.mesh import Mesh2D
+
+        topology = parse_topology_spec(self.SPEC)
+        algorithm = make_algorithm("west-first", topology)
+        clean = SimulationConfig(
+            offered_load=1.0, warmup_cycles=100, measure_cycles=400, seed=3,
+            backend=backend,
+        )
+
+        def run(config, on):
+            return make_simulator(
+                on, make_pattern("uniform", on.topology), config
+            ).run()
+
+        for config in self.fault_configs():
+            faulted = run(dataclasses.replace(config, backend=backend), algorithm)
+            assert faulted.generated_packets > 0
+        after = run(clean, algorithm)
+        fresh_algorithm = make_algorithm("west-first", Mesh2D(6, 6))
+        assert after.to_dict() == run(clean, fresh_algorithm).to_dict()
+        # Every shared decision — the failed router's and its
+        # neighbours' included — is still the unmasked answer.
+        tables = shared_tables(algorithm)
+        private = NetworkTables(make_algorithm("west-first", Mesh2D(6, 6)))
+        assert tables.num_entries > 0
+        for shared_rows, derive in (
+            (tables._minimal, private.minimal),
+            (tables._escape, private.escape),
+        ):
+            for port, row in enumerate(shared_rows):
+                for dest, decision in (row or {}).items():
+                    assert decision == derive(port, dest)
