@@ -193,7 +193,7 @@ def bench_points(
     ``<id>@array`` and pinned to the array engine, so the committed
     report keeps one trajectory per backend.  (Since the envelope
     widening, the observability, fault, and multi-VC points run on the
-    vectorized kernels too — only the legacy random/zigzag selection
+    vectorized kernels too — only the random/zigzag selection
     policies, trace sinks, and over-cap LUTs still exercise the
     cycle-locked scalar fallback.)
     """

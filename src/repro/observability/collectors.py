@@ -18,12 +18,15 @@ raw event firehose:
   creation-to-delivery latency in cycles, exact counts per value, so
   percentiles are exact (nearest-rank), not estimates.
 
-The engine drives one :class:`MetricsCollectors` bundle through three
-hooks (:meth:`MetricsCollectors.on_cycle_end`,
-:meth:`MetricsCollectors.on_delivery`, :meth:`MetricsCollectors.finish`)
-plus direct increments of :attr:`MetricsCollectors.channel_counts` on
-the flit-advance hot path.  With every knob off the engine holds ``None``
-instead of a bundle and skips all of it.
+The event engine drives the two per-cycle collectors through one
+:class:`MetricsCollectors` bundle (:meth:`MetricsCollectors.on_cycle_end`,
+:meth:`MetricsCollectors.finish`, plus direct increments of
+:attr:`MetricsCollectors.channel_counts` on the flit-advance hot path);
+with both knobs off it holds ``None`` instead of a bundle and skips all
+of it.  The latency histogram is per *delivery*, so it is kept with the
+rest of the delivery accounting, in
+:class:`~repro.simulation.lifecycle.PacketLifecycle`, for both backends;
+the percentile helpers below read it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class MetricsCollectors:
         "channel_counts",
         "channel_series",
         "router_blocked",
-        "latency_histogram",
         "_cycles_in_bucket",
     )
 
@@ -50,7 +52,6 @@ class MetricsCollectors:
         num_nodes: int,
         channel_series_period: int = 0,
         collect_router_blocked: bool = False,
-        collect_latency_histogram: bool = False,
     ) -> None:
         self.period = channel_series_period
         self.channel_counts: Optional[List[int]] = (
@@ -60,17 +61,12 @@ class MetricsCollectors:
         self.router_blocked: Optional[List[int]] = (
             [0] * num_nodes if collect_router_blocked else None
         )
-        self.latency_histogram: Optional[Dict[int, int]] = (
-            {} if collect_latency_histogram else None
-        )
         self._cycles_in_bucket = 0
 
     @property
     def any_enabled(self) -> bool:
         return (
-            self.channel_counts is not None
-            or self.router_blocked is not None
-            or self.latency_histogram is not None
+            self.channel_counts is not None or self.router_blocked is not None
         )
 
     def on_cycle_end(self, waiting) -> None:
@@ -94,12 +90,6 @@ class MetricsCollectors:
                     counts[i] = 0
                 self._cycles_in_bucket = 0
 
-    def on_delivery(self, latency_cycles: int) -> None:
-        """Account one measured delivery (exact histogram)."""
-        hist = self.latency_histogram
-        if hist is not None:
-            hist[latency_cycles] = hist.get(latency_cycles, 0) + 1
-
     def finish(self, result) -> None:
         """Fold everything collected into a
         :class:`~repro.simulation.metrics.SimulationResult`."""
@@ -112,8 +102,6 @@ class MetricsCollectors:
             result.channel_series_period = self.period
         if self.router_blocked is not None:
             result.router_blocked_cycles = self.router_blocked
-        if self.latency_histogram is not None:
-            result.latency_histogram = self.latency_histogram
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ from .congestion import CongestionView, EngineCongestionView
 from .policies import (
     SELECTION_POLICIES,
     MaxFreeCredits,
+    RandomChoice,
     RoundRobin,
     SelectionPolicy,
     ThresholdReroute,
     XYPreference,
+    ZigZag,
     make_selection_policy,
     selection_policy_names,
     static_preference,
@@ -25,11 +27,13 @@ __all__ = [
     "CongestionView",
     "EngineCongestionView",
     "MaxFreeCredits",
+    "RandomChoice",
     "RoundRobin",
     "SELECTION_POLICIES",
     "SelectionPolicy",
     "ThresholdReroute",
     "XYPreference",
+    "ZigZag",
     "make_selection_policy",
     "selection_policy_names",
     "static_preference",

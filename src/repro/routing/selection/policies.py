@@ -72,8 +72,7 @@ class SelectionPolicy:
         packet,
         rng: random.Random,
     ) -> Direction:
-        # Callable with the legacy OutputSelector signature, so the
-        # engine's arbitration loop is policy-agnostic.
+        # The engine's arbitration loop calls the policy directly.
         return self.select(options, packet, rng)
 
     def __repr__(self) -> str:
@@ -199,11 +198,46 @@ class ThresholdReroute(SelectionPolicy):
         return best
 
 
+class RandomChoice(SelectionPolicy):
+    """Pick uniformly among the candidates, as offered (one
+    ``rng.randrange`` draw from the simulation's RNG per decision — an
+    ablation alternative; the array backend runs it on its scalar
+    member path)."""
+
+    name = "random"
+
+    def select(self, options, packet, rng):
+        return options[rng.randrange(len(options))]
+
+
+class ZigZag(SelectionPolicy):
+    """Prefer a different dimension than the previous hop, the static
+    preference within it (spreads worms diagonally; an ablation
+    alternative).  Before the first hop it is :class:`XYPreference`."""
+
+    name = "zigzag"
+
+    def select(self, options, packet, rng):
+        last = packet.head_direction
+        if last is not None:
+            other = [d for d in options if d.dim != last.dim]
+            if other:
+                return static_preference(other)
+        return static_preference(options)
+
+
+#: Every output-selection policy, by ``config.output_selection`` name —
+#: the only registry.
 SELECTION_POLICIES: Dict[str, Callable[..., SelectionPolicy]] = {
-    XYPreference.name: XYPreference,
-    RoundRobin.name: RoundRobin,
-    MaxFreeCredits.name: MaxFreeCredits,
-    ThresholdReroute.name: ThresholdReroute,
+    policy.name: policy
+    for policy in (
+        XYPreference,
+        RoundRobin,
+        MaxFreeCredits,
+        ThresholdReroute,
+        RandomChoice,
+        ZigZag,
+    )
 }
 
 

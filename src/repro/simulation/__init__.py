@@ -14,17 +14,12 @@ from .metrics import SimulationResult
 from .packet import ChannelHold, Packet, PacketState
 from .selection import (
     INPUT_POLICIES,
-    OUTPUT_POLICIES,
     fcfs_input_selection,
     get_input_policy,
-    get_output_policy,
     input_policy_names,
     make_output_policy,
     output_policy_names,
     random_input_selection,
-    random_output_selection,
-    xy_output_selection,
-    zigzag_output_selection,
 )
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "ChannelHold",
     "DeadlockReport",
     "INPUT_POLICIES",
-    "OUTPUT_POLICIES",
     "Packet",
     "PacketState",
     "SimulationConfig",
@@ -44,15 +38,11 @@ __all__ = [
     "detect_deadlock",
     "fcfs_input_selection",
     "get_input_policy",
-    "get_output_policy",
     "input_policy_names",
     "make_output_policy",
     "make_simulator",
     "numpy_available",
     "output_policy_names",
     "random_input_selection",
-    "random_output_selection",
     "vectorized_envelope",
-    "xy_output_selection",
-    "zigzag_output_selection",
 ]

@@ -34,11 +34,12 @@ adaptive) widen the arena with a runtime-channel axis — one lane per
 pair before selection, and serialise the one-flit-per-physical-link
 arbitration with the run-rank/lexsort technique so the engine's rotated
 per-member movement order is replayed exactly.  ``PhaseProfiler`` hooks
-no longer demote either: profiled runs time the kernel passes
-(faults/retries/generate/inject/allocate/advance/watchdog/collect)
-around unchanged state transitions, so they stay bit-identical.  Points
-outside the envelope (legacy policies that draw from the RNG, trace
-sinks, LUTs past the entry cap) fall back to driving a cycle-locked
+do not demote either: a profiled run wraps each kernel pass of the one
+stage list (``_STAGES``) in a clock pair around unchanged state
+transitions, so it stays bit-identical.  Points outside the envelope
+(``random``/``zigzag`` selection — ``random`` draws from the RNG
+mid-arbitration — trace sinks, LUTs past the entry cap) fall back to
+driving a cycle-locked
 :class:`~repro.simulation.engine.WormholeSimulator` member — the same
 code, therefore trivially bit-identical — so the whole configuration
 space is supported and the batch API is uniform.
@@ -47,11 +48,14 @@ space is supported and the batch API is uniform.
 loss is visible (``repro sweep/faults/bench --backend array`` print the
 coverage fraction).
 
-Generation and injection stay scalar per member even in the vectorized
-envelope: they are event-driven (arrival calendar) and must replay the
-member's ``random.Random(seed)`` draw sequence exactly.  Both engines
-draw nothing on the hot path of the envelope (none of the vectorized
-policies touch the RNG), so the streams stay aligned.
+Generation, injection, and the drop/retry/delivery accounting are not
+reimplemented here: each vectorized member holds the same
+:class:`~repro.simulation.lifecycle.PacketLifecycle` the event engine
+holds, scalar per member (it is event-driven — an arrival calendar —
+and owns the member's ``random.Random(seed)``), and the core only
+mirrors "when is this member next due" into arrays (docs/SIMULATOR.md,
+"Engine structure").  Nothing in the envelope draws from the RNG during
+arbitration, so the streams stay aligned.
 
 numpy is an optional dependency (``pip install repro[array]``); the
 module imports with numpy absent and every entry point raises a clear
@@ -60,10 +64,8 @@ error instead.
 
 from __future__ import annotations
 
-import heapq
-import time
-from collections import deque
-from typing import Deque, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Sequence, Tuple
 
 try:  # numpy is the optional `repro[array]` extra
     import numpy as np
@@ -71,10 +73,12 @@ except ImportError:  # pragma: no cover - exercised by the minimal-install job
     np = None  # type: ignore[assignment]
 
 from ..faults.plan import CHANNEL_FAULT, FAIL
+from ..observability.profiler import timed
 from ..routing.table import NetworkTables, network_index, shared_tables
 from ..verification.graph import DiGraph
 from .config import SimulationConfig
 from .engine import WormholeSimulator
+from .lifecycle import PacketLifecycle
 from .metrics import SimulationResult
 from .packet import Packet
 
@@ -103,8 +107,8 @@ _MB_BOTH = _MB_HI1 | 1
 #: Output-selection policies the kernels replay exactly (the LUT columns
 #: are (dim, sign)-sorted and direction-deduped, which is precisely the
 #: ``sorted(options)`` every one of these policies reduces to; none of
-#: them draws from the RNG).  The legacy ``random``/``zigzag`` selectors
-#: stay on the scalar member path.
+#: them draws from the RNG).  ``random``/``zigzag`` stay on the scalar
+#: member path.
 _POLICY_CODES: Dict[str, int] = {
     "xy": 0,
     "round-robin": 1,
@@ -181,8 +185,8 @@ def demotion_reasons(config: SimulationConfig) -> Tuple[str, ...]:
 
     Empty for points inside the vectorized envelope.  *Every* applicable
     config gate is reported (the scan does not stop at the first one):
-    ``"output-selection"`` for the legacy ``random``/``zigzag``
-    selectors, ``"input-selection"`` for non-``fcfs`` input selection.
+    ``"output-selection"`` for the ``random``/``zigzag`` policies,
+    ``"input-selection"`` for non-``fcfs`` input selection.
     Runtime-only gates (trace sinks, the LUT entry cap) are appended by
     :class:`BatchSimulator` — also cumulatively — and surface in its
     ``demotion_counts``.  Pure python — callable without numpy
@@ -202,8 +206,8 @@ def vectorized_envelope(config: SimulationConfig) -> bool:
     Since the envelope widening (fault plans, selection policies,
     watchdogs/retries, collectors, and multi-VC operation — dateline
     classes and escape channels included — are all vectorized now) only
-    two config gates remain: a legacy output-selection policy
-    (``random``/``zigzag`` — they draw from the RNG mid-arbitration) or
+    two config gates remain: an unvectorized output-selection policy
+    (``random`` draws from the RNG mid-arbitration; ``zigzag``) or
     a non-``fcfs`` input selection.  Outside the envelope the array
     backend still accepts the point but drives it through a cycle-locked
     event-engine member (bit-identical by construction; see the module
@@ -363,13 +367,16 @@ def _group_tables(tables: NetworkTables) -> "_GroupTables":
 class _FastMember:
     """One vectorized-envelope operating point inside a batch.
 
-    Owns the scalar per-member state (RNG, arrival calendar, source
-    queues, injection ports, fault/retry schedules, result accounting)
-    — a faithful port of the event engine's generation/injection/fault
-    stages — while arbitration and movement for its worms run inside
-    the core's shared numpy kernels.  The member holds no reference to
-    its :class:`_BatchCore` (every method that touches the arena takes
-    it as an argument), so a finished batch is freed by refcount.
+    Holds the member's :class:`~repro.simulation.lifecycle.
+    PacketLifecycle` — the source side and accounting it shares with the
+    event engine, an injection gate holding the arena slot of the worm
+    using it — plus the scalar twin of the core's fault mask, while
+    arbitration and movement for its worms run inside the core's shared
+    numpy kernels.  The member holds no reference to its
+    :class:`_BatchCore` (every method that touches the arena takes it as
+    an argument, and the core refreshes its per-member mirrors of the
+    lifecycle's state where it calls it), so a finished batch is freed
+    by refcount.
     """
 
     fast = True
@@ -378,15 +385,10 @@ class _FastMember:
         self, fidx: int, num_ch: int, algorithm, pattern,
         config: SimulationConfig, profiler=None,
     ) -> None:
-        import random
-
         self.fidx = fidx
-        self.algorithm = algorithm
-        self.pattern = pattern
         self.config = config
         self.profiler = profiler
         self.topology = algorithm.topology
-        self.rng = random.Random(config.seed)
         self.num_vc = config.virtual_channels
         # The arena is runtime-channel granular: one lane per
         # (physical channel, vc), matching the event engine's channel
@@ -396,162 +398,24 @@ class _FastMember:
         self.frozen = False
         self.inflight = 0
         self._last_cycle = 0
-        self._next_pid = 0
-        self._backlog = 0
-
-        self.queues: List[Deque[Packet]] = [
-            deque() for _ in range(self.topology.num_nodes)
-        ]
-        self.injection_busy: List[int] = [-1] * self.topology.num_nodes
-        self.pending_nodes: set = set()
-        self.sources = list(pattern.active_sources(self.topology))
-        self.next_arrival: Dict[int, float] = {}
-        self._arrival_heap: List[Tuple[float, int]] = []
-        rate = config.messages_per_cycle
-        if rate > 0:
-            for index, node in enumerate(self.sources):
-                when = self.rng.expovariate(rate)
-                self.next_arrival[node] = when
-                self._arrival_heap.append((when, index))
-            heapq.heapify(self._arrival_heap)
 
         # Fault state (the scalar twin of the core's ``ch_dead`` mask —
-        # the sets replay FaultState's exact add/discard sequence) and
-        # the retry calendar, both empty for fault-free members.
+        # the sets replay FaultState's exact add/discard sequence),
+        # empty for fault-free members.
         self.fault_schedule: Dict[int, list] = (
             {} if config.fault_plan.is_empty else config.fault_plan.schedule()
         )
         self.dead_routers: set = set()
         self.dead_channels: set = set()
-        self._retry_at: Dict[int, List[Packet]] = {}
-        self._lat_hist: Dict[int, int] = {}
+        self.life = PacketLifecycle(
+            algorithm, pattern, config, self.dead_routers
+        )
+        self.result = self.life.result
         self._series_buckets: List[List[int]] = []
 
         # Assigned by the core once all members are known.
         self.ch_off = 0
         self.node_off = 0
-
-        self.result = SimulationResult(
-            algorithm=algorithm.name,
-            pattern=getattr(pattern, "name", type(pattern).__name__),
-            offered_load=config.offered_load,
-            num_nodes=self.topology.num_nodes,
-            active_sources=len(self.sources),
-            measure_cycles=config.measure_cycles,
-            cycle_time_us=config.cycle_time_us,
-        )
-
-    # -- generation / injection (scalar, RNG-exact engine ports) ------------
-
-    def _generate(self, core: "_BatchCore", cycle: int) -> None:
-        heap = self._arrival_heap
-        if not heap or heap[0][0] > cycle:
-            return
-        if cycle >= self.config.generation_cycles:
-            return
-        pop = heapq.heappop
-        due = [pop(heap)]
-        while heap and heap[0][0] <= cycle:
-            due.append(pop(heap))
-        if len(due) > 1:
-            due.sort(key=lambda item: item[1])
-        config = self.config
-        rate = config.messages_per_cycle
-        lengths = config.message_lengths
-        num_lengths = len(lengths)
-        max_queue = config.max_queue_per_node
-        rng = self.rng
-        expovariate = rng.expovariate
-        randrange = rng.randrange
-        pattern_dest = self.pattern.dest
-        queues = self.queues
-        sources = self.sources
-        next_arrival = self.next_arrival
-        push = heapq.heappush
-        dead_routers = self.dead_routers
-        for when, index in due:
-            node = sources[index]
-            while when <= cycle:
-                when += expovariate(rate)
-                if node in dead_routers:
-                    continue  # a dead router offers no traffic
-                if len(queues[node]) >= max_queue:
-                    continue
-                dst = pattern_dest(node, rng)
-                if dst is None or dst == node:
-                    continue
-                length = lengths[randrange(num_lengths)]
-                self._enqueue(
-                    core, Packet(self._next_pid, node, dst, length, cycle)
-                )
-                self._next_pid += 1
-            next_arrival[node] = when
-            push(heap, (when, index))
-        core.m_nextgen[self.fidx] = heap[0][0] if heap else float("inf")
-
-    def _enqueue(self, core: "_BatchCore", packet: Packet) -> None:
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if packet.created >= self.config.warmup_cycles:
-            self.result.generated_packets += 1
-        if self.injection_busy[node] < 0:
-            self.pending_nodes.add(node)
-            core.m_pending[self.fidx] = True
-
-    def _inject(self, core: "_BatchCore", cycle: int) -> None:
-        dead_routers = self.dead_routers
-        for node in list(self.pending_nodes):
-            queue = self.queues[node]
-            if not queue or self.injection_busy[node] >= 0:
-                self.pending_nodes.discard(node)
-                continue
-            if node in dead_routers:
-                # A dead router cannot inject; its queue waits for a heal.
-                self.pending_nodes.discard(node)
-                continue
-            packet = queue.popleft()
-            self._backlog -= 1
-            if packet.dst in dead_routers:
-                # Drop at the source instead of wasting network resources
-                # on an unreachable destination (it may heal before a
-                # retry, so retries still apply).
-                self._finish_drop(
-                    core, packet.src, packet.dst, packet.length,
-                    packet.created, packet.attempt, cycle,
-                    "dead-destination",
-                )
-                if not queue:
-                    self.pending_nodes.discard(node)
-                continue
-            slot = core._alloc_slot(self, packet, cycle)
-            self.injection_busy[node] = slot
-            self.pending_nodes.discard(node)
-        core.m_pending[self.fidx] = bool(self.pending_nodes)
-
-    def _release_injection(self, core: "_BatchCore", slot: int) -> None:
-        node = int(core.pk_src[slot])
-        self.injection_busy[node] = -1
-        if self.queues[node]:
-            self.pending_nodes.add(node)
-            core.m_pending[self.fidx] = True
-
-    # -- retries / drops / kills (scalar engine ports) -----------------------
-
-    def _requeue(self, core: "_BatchCore", packet: Packet) -> None:
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if self.injection_busy[node] < 0:
-            self.pending_nodes.add(node)
-            core.m_pending[self.fidx] = True
-
-    def _pop_retries(self, core: "_BatchCore", cycle: int) -> None:
-        for packet in self._retry_at.pop(cycle, ()):
-            self._requeue(core, packet)
-        core.m_nextretry[self.fidx] = (
-            min(self._retry_at) if self._retry_at else _NEVER
-        )
 
     def _kill(
         self, core: "_BatchCore", slot: int, cycle: int, cause: str,
@@ -577,8 +441,9 @@ class _FastMember:
         core.pk_tail_ch[slot] = -1
         core.pk_head_ch[slot] = -1
         src = int(core.pk_src[slot])
-        if self.injection_busy[src] == slot:
-            self._release_injection(core, slot)
+        if self.life.injection_busy[src] == slot:
+            if self.life.release_injection(src):
+                core.m_pending[fidx] = True
         dst = int(core.pk_dst[slot])
         if core.ej_owner[self.node_off + dst] == slot:
             core.ej_owner[self.node_off + dst] = -1
@@ -588,44 +453,25 @@ class _FastMember:
         core._live_dirty = True
         self.inflight -= 1
         core.m_inflight[fidx] -= 1
-        self._finish_drop(
+        self._drop(
             core, src, dst, int(core.pk_len[slot]),
             int(core.pk_created[slot]), int(core.pk_attempt[slot]), cycle,
-            cause, killed=killed,
+            cause, killed,
         )
 
-    def _finish_drop(
+    def _drop(
         self, core: "_BatchCore", src: int, dst: int, length: int,
         created: int, attempt: int, cycle: int, cause: str,
         killed: bool = False,
     ) -> None:
-        """Account one drop event; retry from the source if allowed."""
-        core.m_lastprog[self.fidx] = cycle  # freed resources are progress
-        config = self.config
-        result = self.result
-        measured = created >= config.warmup_cycles
-        if measured:
-            if killed:
-                result.killed_packets += 1
-            result.drops_by_cause[cause] = (
-                result.drops_by_cause.get(cause, 0) + 1
-            )
-        if attempt < config.max_retries:
-            delay = min(
-                config.retry_backoff_base << attempt,
-                config.retry_backoff_cap,
-            )
-            retry = Packet(self._next_pid, src, dst, length, created)
-            self._next_pid += 1
-            retry.attempt = attempt + 1
-            due = cycle + delay
-            self._retry_at.setdefault(due, []).append(retry)
-            if due < core.m_nextretry[self.fidx]:
-                core.m_nextretry[self.fidx] = due
-            if measured:
-                result.retried_packets += 1
-        elif measured:
-            result.dropped_packets += 1
+        """Account one drop and mirror the retry it may have scheduled."""
+        fidx = self.fidx
+        core.m_lastprog[fidx] = cycle  # freed resources are progress
+        due = self.life.account_drop(
+            src, dst, length, created, attempt, cycle, cause, killed
+        )
+        if due is not None and due < core.m_nextretry[fidx]:
+            core.m_nextretry[fidx] = due
 
     def _deliver(self, core: "_BatchCore", slot: int, cycle: int) -> None:
         core.ej_owner[self.node_off + int(core.pk_dst[slot])] = -1
@@ -633,26 +479,12 @@ class _FastMember:
         core._live_dirty = True
         self.inflight -= 1
         core.m_inflight[self.fidx] -= 1
-        created = int(core.pk_created[slot])
-        if created >= self.config.warmup_cycles:
-            result = self.result
-            length = int(core.pk_len[slot])
-            result.delivered_packets += 1
-            result.delivered_flits += length
-            result.total_latency_cycles += cycle - created
-            injected = int(core.pk_injected[slot])
-            result.total_net_latency_cycles += cycle - (
-                injected if injected >= 0 else created
-            )
-            result.total_hops += int(core.pk_hops[slot])
-            result.total_misroutes += int(core.pk_mis[slot])
-            result.latency_by_length.setdefault(length, []).append(
-                cycle - created
-            )
-            if self.config.collect_latency_histogram:
-                hist = self._lat_hist
-                latency = cycle - created
-                hist[latency] = hist.get(latency, 0) + 1
+        injected = int(core.pk_injected[slot])
+        self.life.account_delivery(
+            int(core.pk_len[slot]), int(core.pk_created[slot]),
+            injected if injected >= 0 else None, int(core.pk_hops[slot]),
+            int(core.pk_mis[slot]), cycle,
+        )
 
 
 class _ScalarMember:
@@ -671,15 +503,29 @@ class _ScalarMember:
         self.total = config.total_cycles
         self.frozen = False
 
-    def run_cycle(self, cycle: int) -> None:
-        sim = self.sim
-        sim.cycle = cycle
-        sim._cycle_body(cycle)
-        if sim._after_cycle(cycle):
+    def run_cycle(self) -> None:
+        if self.sim.step():
             self.frozen = True
 
     def finalize(self) -> SimulationResult:
         return self.sim.finalize()
+
+
+#: One cycle of the vectorized members, in the event engine's stage
+#: order: ``(profiler phase, kernel pass)``.  The one stage list of this
+#: engine — ``run`` executes it, a profiler times it.  Routing is a LUT
+#: gather inside ``allocate`` (no ``route`` phase); ``collect`` is the
+#: collectors' end-of-cycle pass the event engine runs inline.
+_STAGES = (
+    ("faults", "_faults_pass"),
+    ("retries", "_retries_pass"),
+    ("generate", "_generate_pass"),
+    ("inject", "_inject_pass"),
+    ("allocate", "_arbitrate_vec"),
+    ("advance", "_move_vec"),
+    ("watchdog", "_watchdog_pass"),
+    ("collect", "_collect_pass"),
+)
 
 
 class _BatchCore:
@@ -744,13 +590,6 @@ class _BatchCore:
                 self.fast.append(member)
                 group_of.append(self.groups.index(tables))
             self.members.append(member)
-        # Profiled fast members time the shared kernel passes (the batch
-        # advances them together, so each profiler records the same
-        # per-phase wall clock); timing never touches RNG or decisions,
-        # so profiled runs stay bit-identical.
-        self._fast_profilers = [
-            m.profiler for m in self.fast if m.profiler is not None
-        ]
 
         # -- concatenated channel / node arenas over the fast members.
         # One arena lane per *runtime* channel (physical x vc), matching
@@ -893,7 +732,7 @@ class _BatchCore:
         self.m_pending = np.zeros(nfast, dtype=bool)
         self.m_nextgen = np.asarray(
             [
-                m._arrival_heap[0][0] if m._arrival_heap else np.inf
+                m.life.arrival_heap[0][0] if m.life.arrival_heap else np.inf
                 for m in self.fast
             ],
             dtype=np.float64,
@@ -1116,14 +955,10 @@ class _BatchCore:
                 if action == FAIL:
                     member.dead_routers.add(node)
                     self._kill_router_worms(member, node, cycle)
-                    member.pending_nodes.discard(node)
+                    member.life.router_failed(node)
                 else:
                     member.dead_routers.discard(node)
-                    if (
-                        member.queues[node]
-                        and member.injection_busy[node] < 0
-                    ):
-                        member.pending_nodes.add(node)
+                    if member.life.router_healed(node):
                         self.m_pending[fidx] = True
         self._recompute_dead(member)
         # The engine's ``_wake_all``: un-park every header of this
@@ -1195,6 +1030,7 @@ class _BatchCore:
     # -- stage 2: arbitration (vectorized two-phase) -------------------------
 
     def _arbitrate_vec(self, cycle: int) -> None:
+        self._refresh_live()
         live = self.live
         if live.size == 0:
             return
@@ -1829,9 +1665,9 @@ class _BatchCore:
             else:
                 ls = np.sort(ls)
             for slot in ls:
-                self.fast[int(self.pk_sim[slot])]._release_injection(
-                    self, int(slot)
-                )
+                f = int(self.pk_sim[slot])
+                if self.fast[f].life.release_injection(int(self.pk_src[slot])):
+                    self.m_pending[f] = True
         if act.any():
             # Duplicate member hits assign the same value — no reduction
             # needed, so skip the np.unique pass.
@@ -2106,6 +1942,8 @@ class _BatchCore:
 
     def _watchdog_pass(self, cycle: int) -> None:
         """The event engine's post-move stall watchdog, batched."""
+        if not self._any_timeout:
+            return
         live = self.live
         state = self.pk_state[live]
         waits = live[(state == _ROUTING) | (state == _EJECT_WAIT)]
@@ -2137,6 +1975,8 @@ class _BatchCore:
     def _collect_pass(self, cycle: int) -> None:
         """The collectors' ``on_cycle_end``, batched: blocked counting
         sees the post-watchdog waiting set, as in the engine."""
+        if not self._any_collect:
+            return
         if self.node_blocked is not None:
             live = self.live
             state = self.pk_state[live]
@@ -2282,91 +2122,54 @@ class _BatchCore:
                     lo : lo + member.topology.num_nodes
                 ]
             ]
-        if config.collect_latency_histogram:
-            result.latency_histogram = member._lat_hist
         return result
 
     # -- the batched run loop ------------------------------------------------
 
-    def _fast_cycle(self, cycle: int) -> None:
-        """One cycle of the vectorized kernels for every active member:
-        the same stage order as ``WormholeSimulator.run_cycle``."""
-        fast = self.fast
-        m_act = self.m_act
+    # The scalar stages: Python only for the members with work due this
+    # cycle, each refreshing the core's mirrors (``m_nextfault``,
+    # ``m_nextretry``, ``m_nextgen``, ``m_pending``) of the lifecycle
+    # state it changed.
+
+    def _faults_pass(self, cycle: int) -> None:
         if self._any_faults:
-            for f in np.nonzero(m_act & (self.m_nextfault <= cycle))[0]:
-                self._apply_faults(fast[int(f)], cycle)
+            for f in np.nonzero(self.m_act & (self.m_nextfault <= cycle))[0]:
+                self._apply_faults(self.fast[int(f)], cycle)
+
+    def _retries_pass(self, cycle: int) -> None:
         if self._any_drops:
-            for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
-                fast[int(f)]._pop_retries(self, cycle)
-        # Generation/injection touch Python only for members whose
-        # arrival calendar or injector backlog is due.
-        for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
-            member = fast[int(f)]
+            for f in np.nonzero(self.m_act & (self.m_nextretry <= cycle))[0]:
+                life = self.fast[int(f)].life
+                life.pop_retries(cycle)
+                self.m_nextretry[f] = min(life.retry_at, default=_NEVER)
+                if life.pending_nodes:
+                    self.m_pending[f] = True
+
+    def _generate_pass(self, cycle: int) -> None:
+        for f in np.nonzero(self.m_act & (self.m_nextgen <= cycle))[0]:
+            member = self.fast[int(f)]
             if cycle >= member.config.generation_cycles:
                 self.m_nextgen[f] = np.inf
-            else:
-                member._generate(self, cycle)
-        for f in np.nonzero(m_act & self.m_pending)[0]:
-            fast[int(f)]._inject(self, cycle)
-        self._refresh_live()
-        self._arbitrate_vec(cycle)
-        self._move_vec(cycle)
-        if self._any_timeout:
-            self._watchdog_pass(cycle)
-        if self._any_collect:
-            self._collect_pass(cycle)
+                continue
+            life = member.life
+            life.generate(cycle)
+            heap = life.arrival_heap
+            self.m_nextgen[f] = heap[0][0] if heap else np.inf
+            if life.pending_nodes:
+                self.m_pending[f] = True
 
-    def _mark(self, phase: str, start: float) -> float:
-        """Charge ``now - start`` to ``phase`` on every profiled fast
-        member and return ``now`` (the next phase's start)."""
-        now = time.perf_counter()
-        dt = now - start
-        for prof in self._fast_profilers:
-            prof.add(phase, dt)
-        return now
-
-    def _fast_cycle_profiled(self, cycle: int) -> None:
-        """``_fast_cycle`` with per-phase wall-clock accounting.
-
-        Identical stage order and state transitions — the profiler only
-        observes ``time.perf_counter`` around each kernel pass, so
-        profiled runs stay bit-identical.  Routing happens inside the
-        arbitration kernel (LUT gathers), so the ``route`` phase is
-        folded into ``allocate`` on this backend.
-        """
-        fast = self.fast
-        m_act = self.m_act
-        t = time.perf_counter()
-        if self._any_faults:
-            for f in np.nonzero(m_act & (self.m_nextfault <= cycle))[0]:
-                self._apply_faults(fast[int(f)], cycle)
-        t = self._mark("faults", t)
-        if self._any_drops:
-            for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
-                fast[int(f)]._pop_retries(self, cycle)
-        t = self._mark("retries", t)
-        for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
-            member = fast[int(f)]
-            if cycle >= member.config.generation_cycles:
-                self.m_nextgen[f] = np.inf
-            else:
-                member._generate(self, cycle)
-        t = self._mark("generate", t)
-        for f in np.nonzero(m_act & self.m_pending)[0]:
-            fast[int(f)]._inject(self, cycle)
-        t = self._mark("inject", t)
-        self._refresh_live()
-        self._arbitrate_vec(cycle)
-        t = self._mark("allocate", t)
-        self._move_vec(cycle)
-        t = self._mark("advance", t)
-        if self._any_timeout:
-            self._watchdog_pass(cycle)
-        t = self._mark("watchdog", t)
-        if self._any_collect:
-            self._collect_pass(cycle)
-        self._mark("collect", t)
+    def _inject_pass(self, cycle: int) -> None:
+        for f in np.nonzero(self.m_act & self.m_pending)[0]:
+            member = self.fast[int(f)]
+            member.life.inject(
+                cycle,
+                partial(self._alloc_slot, member),
+                lambda p, cycle, cause: member._drop(  # (never in the arena)
+                    self, p.src, p.dst, p.length, p.created, p.attempt,
+                    cycle, cause,
+                ),
+            )
+            self.m_pending[f] = bool(member.life.pending_nodes)
 
     def run(self) -> List[SimulationResult]:
         members = self.members
@@ -2374,11 +2177,18 @@ class _BatchCore:
         scalars = [m for m in members if not m.fast]
         max_total = max(m.total for m in members)
         m_act = self.m_act
-        fast_cycle = (
-            self._fast_cycle_profiled
-            if self._fast_profilers
-            else self._fast_cycle
-        )
+        # The cycle of the fast members: ``_STAGES`` in order (bound
+        # here, not at construction, so the core holds no reference to
+        # itself).  Profiled members time the shared kernel passes — the
+        # batch advances them together, so each profiler records the
+        # same per-phase wall clock — by wrapping this same list.
+        profilers = [m.profiler for m in fast if m.profiler is not None]
+        stages = [
+            timed(phase, getattr(self, name), profilers)
+            if profilers
+            else getattr(self, name)
+            for phase, name in _STAGES
+        ]
         for cycle in range(max_total):
             running = 0
             for member in scalars:
@@ -2387,7 +2197,7 @@ class _BatchCore:
                 if cycle >= member.total:
                     member.frozen = True
                     continue
-                member.run_cycle(cycle)
+                member.run_cycle()
                 if not member.frozen:
                     running += 1
             if m_act.any():
@@ -2400,12 +2210,13 @@ class _BatchCore:
                         m_act[f] = False
                         self._drop_member_slots(int(f))
             if m_act.any():
-                fast_cycle(cycle)
+                for stage in stages:
+                    stage(cycle)
                 for f in np.nonzero(m_act & (self.m_next_sample == cycle))[
                     0
                 ]:
                     member = fast[int(f)]
-                    member.result.backlog_samples.append(member._backlog)
+                    member.result.backlog_samples.append(member.life.backlog)
                     self.m_next_sample[f] += self.m_period[f]
                 dead = np.nonzero(
                     m_act

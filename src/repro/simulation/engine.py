@@ -15,6 +15,15 @@ One simulator cycle is the transmission time of one flit on a channel
    cycle; ejection consumes one flit per cycle at the destination; tail
    flits release channels as they drain.
 
+**Structure** (docs/SIMULATOR.md, "Engine structure"): the cycle is the
+ordered stage list ``_STAGES`` — fault application, retry requeueing,
+the three stages above, the per-packet watchdog — run by
+:meth:`WormholeSimulator.step`.  The source side of stage 1 and all
+measurement accounting (RNG, arrival calendar, source queues, injection
+gates, retry calendar, delivery/drop counters) belong to the
+:class:`~repro.simulation.lifecycle.PacketLifecycle` this engine shares
+with the array backend; this module owns how worms occupy the network.
+
 **The event-driven hot path** (docs/PERFORMANCE.md): the engine is
 semantically a per-cycle scan of every source and every waiting header,
 but it executes three structural optimisations that skip the scans whose
@@ -34,10 +43,10 @@ this existed):
   private mask over the shared answers; fault events invalidate exactly
   the masked rows touching the dead (or healed) hardware and never
   write to the shared tables;
-* **arrival calendar** — sources sit in a heap keyed on their next
-  arrival time, so a cycle in which no source fires costs one peek
-  instead of a full scan; due sources are drained in source-list order,
-  preserving the exact RNG draw sequence of the scan;
+* **arrival calendar** (in the lifecycle) — sources sit in a heap keyed
+  on their next arrival time, so a cycle in which no source fires costs
+  one peek instead of a full scan; due sources are drained in
+  source-list order, preserving the exact RNG draw sequence of the scan;
 * **channel-free wakeup sets** — a header whose candidate set is fully
   busy is *parked*: it is skipped by arbitration until one of the
   channels it is watching frees (tail drain, kill), its ejection port
@@ -82,11 +91,7 @@ golden-fingerprint tests pin this down bit-for-bit).
 
 from __future__ import annotations
 
-import heapq
-import random
-import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..faults.plan import CHANNEL_FAULT, FAIL
 from ..faults.routing import FaultAwareRouting, MaskedTables
@@ -103,14 +108,29 @@ from ..observability.events import (
     KILLED,
     TraceEvent,
 )
+from ..observability.profiler import timed
 from ..routing.base import RoutingAlgorithm
 from ..routing.selection.congestion import EngineCongestionView
 from ..routing.table import shared_tables
 from ..topology.base import Topology
 from .config import SimulationConfig
+from .lifecycle import PacketLifecycle
 from .metrics import SimulationResult
 from .packet import ChannelHold, Packet, PacketState
 from .selection import get_input_policy, make_output_policy
+
+
+#: The cycle, in order: ``(profiler phase, stage)``.  The one stage list
+#: of this engine — ``step`` runs it, a profiler times it.
+_STAGES = (
+    ("faults", "_apply_faults"),
+    ("retries", "_pop_retries"),
+    ("generate", "_generate"),
+    ("inject", "_inject"),
+    ("allocate", "_arbitrate"),
+    ("advance", "_move"),
+    ("watchdog", "_check_packet_timeouts"),
+)
 
 
 class WormholeSimulator:
@@ -136,7 +156,6 @@ class WormholeSimulator:
         self.pattern = pattern
         self.config = config
         self.topology: Topology = algorithm.topology
-        self.rng = random.Random(config.seed)
         self.output_policy = make_output_policy(config)
         self.input_policy = get_input_policy(config.input_selection)
 
@@ -151,39 +170,17 @@ class WormholeSimulator:
         self.channel_ids = tables.channel_ids
         self.channel_alloc: List[Optional[Packet]] = [None] * len(self.channels)
         self.ejection_alloc: List[Optional[Packet]] = [None] * self.topology.num_nodes
-        self.injection_busy: List[Optional[Packet]] = [None] * self.topology.num_nodes
-
-        self.queues: List[Deque[Packet]] = [
-            deque() for _ in range(self.topology.num_nodes)
-        ]
-        self.sources = list(pattern.active_sources(self.topology))
-        # The arrival calendar: a heap of (next arrival time, source
-        # index) so a cycle with no due source costs one peek.  The
-        # ``next_arrival`` dict mirrors the heap for introspection and
-        # for the reference (scan-based) generator.
-        self.next_arrival: Dict[int, float] = {}
-        self._arrival_heap: List[Tuple[float, int]] = []
-        rate = config.messages_per_cycle
-        if rate > 0:
-            for index, node in enumerate(self.sources):
-                when = self.rng.expovariate(rate)
-                self.next_arrival[node] = when
-                self._arrival_heap.append((when, index))
-            heapq.heapify(self._arrival_heap)
 
         # Insertion-ordered (dicts) so runs are exactly reproducible even
         # under randomised selection policies.
         self.waiting: Dict[Packet, None] = {}  # headers needing arbitration
         self.active: Dict[Packet, None] = {}  # worms with flits in the network
         self.dormant: Set[Packet] = set()  # fully blocked worms
-        self.pending_nodes: Set[int] = set()  # nonempty queue, injector free
 
         self.cycle = 0
         self.last_progress = 0
         self._last_cycle = 0  # last cycle whose bookkeeping ran
         self._link_blocked = False
-        self._next_pid = 0
-        self._backlog = 0  # queued packets network-wide
         self.channel_load = (
             [0] * len(self.channels) if config.track_channel_load else None
         )
@@ -198,7 +195,25 @@ class WormholeSimulator:
             self.fault_state = FaultState(self.topology)
             self._fault_schedule = config.fault_plan.schedule()
             self.algorithm = FaultAwareRouting(algorithm, self.fault_state)
-        self._retry_at: Dict[int, List[Packet]] = {}  # cycle -> retries due
+
+        # The source side and the measurement accounting live in the
+        # lifecycle component shared with the array backend; the
+        # attributes below alias its objects.  An injection gate holds
+        # the ``Packet`` using the node's injection channel.
+        self._life = life = PacketLifecycle(
+            algorithm, pattern, config,
+            self.fault_state.dead_routers if self.fault_state is not None else (),
+        )
+        self.rng = life.rng
+        self.sources = life.sources
+        self.next_arrival = life.next_arrival
+        self.queues = life.queues
+        self.injection_busy = life.injection_busy
+        self.pending_nodes = life.pending_nodes
+        self.result: SimulationResult = life.result
+        self._generate = life.generate
+        self._pop_retries = life.pop_retries
+        self._release_injection = life.release_injection
 
         # Congestion-aware output selection: bind the engine-backed
         # view only when the configured policy asks for it, so the
@@ -227,7 +242,7 @@ class WormholeSimulator:
         self._reference = reference
         if reference:
             # Scan-based code paths, kept for the equivalence suite.
-            self._generate = self._generate_reference  # type: ignore[method-assign]
+            self._generate = self._generate_reference
             self._candidate_channels = (  # type: ignore[method-assign]
                 self._candidate_channels_reference
             )
@@ -242,67 +257,72 @@ class WormholeSimulator:
         self._emit = sink.emit if sink is not None else None
         self._blocked_noted: Set[Packet] = set()  # one `blocked` per stall
         self._collectors: Optional[MetricsCollectors] = None
-        if (
-            config.channel_series_period > 0
-            or config.collect_router_blocked
-            or config.collect_latency_histogram
-        ):
+        if config.channel_series_period > 0 or config.collect_router_blocked:
             self._collectors = MetricsCollectors(
                 len(self.channels),
                 self.topology.num_nodes,
                 channel_series_period=config.channel_series_period,
                 collect_router_blocked=config.collect_router_blocked,
-                collect_latency_histogram=config.collect_latency_histogram,
             )
-        self._profiler = profiler
+
+        # The cycle: the stages of ``_STAGES`` whose subsystem this run
+        # uses, in order — by name, so an unprofiled simulator holds no
+        # reference to itself.  A profiler shadows each named stage (and
+        # the routing decision, so the report can split "route" out of
+        # "allocate") with a timed wrapper here, so the profiled cycle
+        # is this same list.
+        used = {
+            "faults": bool(self._fault_schedule),
+            "retries": config.max_retries > 0,
+            "watchdog": config.packet_timeout > 0,
+        }
+        stages = [stage for stage in _STAGES if used.get(stage[0], True)]
+        self._stages = tuple(name for _, name in stages)
         if profiler is not None:
-            # Shadow the routing decision with a timed wrapper so the
-            # report can split "route" out of "allocate".
-            inner_candidates = self._candidate_channels
-            perf = time.perf_counter
-
-            def timed_candidates(packet: Packet) -> List[tuple]:
-                started = perf()
-                out = inner_candidates(packet)
-                profiler.add("route", perf() - started)
-                return out
-
-            self._candidate_channels = timed_candidates  # type: ignore[method-assign]
-
-        self.result = SimulationResult(
-            algorithm=algorithm.name,
-            pattern=getattr(pattern, "name", type(pattern).__name__),
-            offered_load=config.offered_load,
-            num_nodes=self.topology.num_nodes,
-            active_sources=len(self.sources),
-            measure_cycles=config.measure_cycles,
-            cycle_time_us=config.cycle_time_us,
-        )
+            for phase, name in stages + [("route", "_candidate_channels")]:
+                setattr(
+                    self, name, timed(phase, getattr(self, name), (profiler,))
+                )
 
     # -- public API ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
         """Simulate warmup + measurement and return the measurements."""
-        total = self.config.total_cycles
-        for cycle in range(total):
-            self.cycle = cycle
-            self._cycle_body(cycle)
-            if self._after_cycle(cycle):
+        for _ in range(self.cycle, self.config.total_cycles):
+            if self.step():
                 break
         return self.finalize()
 
-    def step(self) -> None:
-        """Advance a single cycle (for tests and interactive inspection).
+    def step(self) -> bool:
+        """Advance a single cycle: the stage list, then the per-cycle
+        bookkeeping (collector sampling, backlog sampling, the global
+        deadlock watchdog).  True when the run should abort — the
+        watchdog tripped.
 
-        Runs the same per-cycle bookkeeping :meth:`run` performs —
-        backlog sampling and the global deadlock watchdog — so stepping
-        N cycles leaves the simulator in exactly the state running N
-        cycles would (call :meth:`finalize` to fold end-of-run state
-        into the result)."""
+        :meth:`run`, the array backend's demoted members and interactive
+        drivers all advance through here, so stepping N cycles leaves
+        the simulator in exactly the state running N cycles would (call
+        :meth:`finalize` to fold end-of-run state into the result)."""
         cycle = self.cycle
-        self._cycle_body(cycle)
-        self._after_cycle(cycle)
+        for stage in self._stages:
+            getattr(self, stage)(cycle)
+        config = self.config
+        warmup = config.warmup_cycles
+        if self._collectors is not None and (
+            warmup <= cycle < config.generation_cycles
+        ):
+            self._collectors.on_cycle_end(self.waiting)
+        self._last_cycle = cycle
         self.cycle = cycle + 1
+        if cycle >= warmup and (cycle - warmup) % config.queue_sample_period == 0:
+            self.result.backlog_samples.append(self._life.backlog)
+        if cycle - self.last_progress > config.deadlock_threshold and (
+            self.active or self.waiting
+        ):
+            self.result.deadlock = True
+            self.result.deadlock_cycle = cycle
+            return True
+        return False
 
     def finalize(self) -> SimulationResult:
         """Fold end-of-run state into the result and return it.
@@ -322,152 +342,26 @@ class WormholeSimulator:
                 result.max_stall_age_cycles = age
         return result
 
-    def _after_cycle(self, cycle: int) -> bool:
-        """Shared per-cycle bookkeeping: sample the backlog, trip the
-        global deadlock watchdog.  True when the run should abort."""
-        config = self.config
-        self._last_cycle = cycle
-        if (
-            cycle >= config.warmup_cycles
-            and (cycle - config.warmup_cycles) % config.queue_sample_period == 0
-        ):
-            self.result.backlog_samples.append(self._backlog)
-        if cycle - self.last_progress > config.deadlock_threshold and (
-            self.active or self.waiting
-        ):
-            self.result.deadlock = True
-            self.result.deadlock_cycle = cycle
-            return True
-        return False
-
-    def _cycle_body(self, cycle: int) -> None:
-        """One simulator cycle: faults, retries, then the three stages."""
-        if self._profiler is not None:
-            self._cycle_stages_profiled(cycle)
-        else:
-            self._cycle_stages(cycle)
-        if self._collectors is not None and (
-            self.config.warmup_cycles <= cycle < self.config.generation_cycles
-        ):
-            self._collectors.on_cycle_end(self.waiting)
-
-    def _cycle_stages(self, cycle: int) -> None:
-        if self._fault_schedule:
-            self._apply_faults(cycle)
-        if self._retry_at:
-            for packet in self._retry_at.pop(cycle, ()):
-                self._requeue(packet)
-        self._generate(cycle)
-        self._inject(cycle)
-        self._arbitrate(cycle)
-        self._move(cycle)
-        if self.config.packet_timeout and self.waiting:
-            self._check_packet_timeouts(cycle)
-
-    def _cycle_stages_profiled(self, cycle: int) -> None:
-        """:meth:`_cycle_stages` with a ``perf_counter`` pair around each
-        stage (kept in lockstep with the unprofiled path — the sequence
-        of stage calls must stay identical)."""
-        profiler = self._profiler
-        perf = time.perf_counter
-        if self._fault_schedule:
-            started = perf()
-            self._apply_faults(cycle)
-            profiler.add("faults", perf() - started)
-        if self._retry_at:
-            started = perf()
-            for packet in self._retry_at.pop(cycle, ()):
-                self._requeue(packet)
-            profiler.add("retries", perf() - started)
-        started = perf()
-        self._generate(cycle)
-        profiler.add("generate", perf() - started)
-        started = perf()
-        self._inject(cycle)
-        profiler.add("inject", perf() - started)
-        started = perf()
-        self._arbitrate(cycle)
-        profiler.add("allocate", perf() - started)
-        started = perf()
-        self._move(cycle)
-        profiler.add("advance", perf() - started)
-        if self.config.packet_timeout and self.waiting:
-            started = perf()
-            self._check_packet_timeouts(cycle)
-            profiler.add("watchdog", perf() - started)
-
     # -- stage 1: generation and injection ------------------------------------
-
-    def _generate(self, cycle: int) -> None:
-        """Arrival-calendar generation: drain the heap of due sources.
-
-        Bit-identical to :meth:`_generate_reference`: sources whose next
-        arrival lies in the future draw nothing there too, and the due
-        sources are processed in source-list order, so the shared RNG
-        sees exactly the same draw sequence."""
-        heap = self._arrival_heap
-        if not heap or heap[0][0] > cycle:
-            return  # no source due this cycle: one peek and done
-        if cycle >= self.config.generation_cycles:
-            return  # drain window: let in-flight traffic finish
-        pop = heapq.heappop
-        due = [pop(heap)]
-        while heap and heap[0][0] <= cycle:
-            due.append(pop(heap))
-        if len(due) > 1:
-            # The heap yields time order; the RNG contract is source-list
-            # order (the order the scan-based generator visits them).
-            due.sort(key=lambda item: item[1])
-        config = self.config
-        rate = config.messages_per_cycle
-        lengths = config.message_lengths
-        num_lengths = len(lengths)
-        max_queue = config.max_queue_per_node
-        rng = self.rng
-        expovariate = rng.expovariate
-        randrange = rng.randrange
-        pattern_dest = self.pattern.dest
-        queues = self.queues
-        sources = self.sources
-        next_arrival = self.next_arrival
-        push = heapq.heappush
-        dead_routers = (
-            self.fault_state.dead_routers if self.fault_state is not None else ()
-        )
-        for when, index in due:
-            node = sources[index]
-            while when <= cycle:
-                when += expovariate(rate)
-                if node in dead_routers:
-                    continue  # a dead router offers no traffic
-                if len(queues[node]) >= max_queue:
-                    continue
-                dst = pattern_dest(node, rng)
-                if dst is None or dst == node:
-                    continue
-                length = lengths[randrange(num_lengths)]
-                self._enqueue(Packet(self._next_pid, node, dst, length, cycle))
-                self._next_pid += 1
-            next_arrival[node] = when
-            push(heap, (when, index))
+    # (``_generate`` is the lifecycle's arrival calendar, bound in
+    # ``__init__``; the scan below replaces it when ``reference=True``.)
 
     def _generate_reference(self, cycle: int) -> None:
         """The scan-based generator: visit every source, every cycle
-        (the pre-calendar hot path, kept for the equivalence suite)."""
+        (the pre-calendar hot path, kept as the test oracle for the
+        lifecycle's calendar — it reads and advances the same state)."""
         if self.config.messages_per_cycle <= 0:
             return
         if cycle >= self.config.generation_cycles:
             return  # drain window: let in-flight traffic finish
+        life = self._life
         rate = self.config.messages_per_cycle
         lengths = self.config.message_lengths
-        dead_routers = (
-            self.fault_state.dead_routers if self.fault_state is not None else ()
-        )
         for node in self.sources:
             when = self.next_arrival[node]
             while when <= cycle:
                 when += self.rng.expovariate(rate)
-                if node in dead_routers:
+                if node in life.dead_routers:
                     continue  # a dead router offers no traffic
                 if len(self.queues[node]) >= self.config.max_queue_per_node:
                     continue
@@ -475,20 +369,8 @@ class WormholeSimulator:
                 if dst is None or dst == node:
                     continue
                 length = lengths[self.rng.randrange(len(lengths))]
-                self._enqueue(Packet(self._next_pid, node, dst, length, cycle))
-                self._next_pid += 1
+                life.enqueue(life.new_packet(node, dst, length, cycle))
             self.next_arrival[node] = when
-
-    def _enqueue(self, packet: Packet) -> None:
-        """Queue a message at its source processor (public for tests and
-        for scripted workloads such as the deadlock demonstrations)."""
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if packet.created >= self.config.warmup_cycles:
-            self.result.generated_packets += 1
-        if self.injection_busy[node] is None:
-            self.pending_nodes.add(node)
 
     def inject_packet(
         self, src: int, dst: int, length: int, created: Optional[int] = None
@@ -501,49 +383,29 @@ class WormholeSimulator:
             )
         if length < 1:
             raise ValueError("a packet needs at least one flit")
-        packet = Packet(
-            self._next_pid, src, dst, length, self.cycle if created is None else created
+        life = self._life
+        packet = life.new_packet(
+            src, dst, length, self.cycle if created is None else created
         )
-        self._next_pid += 1
-        self._enqueue(packet)
+        life.enqueue(packet)
         return packet
 
     def _inject(self, cycle: int) -> None:
-        if not self.pending_nodes:
-            return
-        fault_state = self.fault_state
-        for node in list(self.pending_nodes):
-            queue = self.queues[node]
-            if not queue or self.injection_busy[node] is not None:
-                self.pending_nodes.discard(node)
-                continue
-            if fault_state is not None and node in fault_state.dead_routers:
-                # A dead router cannot inject; its queue waits for a heal.
-                self.pending_nodes.discard(node)
-                continue
-            packet = queue.popleft()
-            self._backlog -= 1
-            if (
-                fault_state is not None
-                and packet.dst in fault_state.dead_routers
-            ):
-                # Drop at the source instead of wasting network resources
-                # on an unreachable destination (it may heal before a
-                # retry, so retries still apply).
-                self._finish_drop(packet, cycle, "dead-destination")
-                if not queue:
-                    self.pending_nodes.discard(node)
-                continue
-            self.injection_busy[node] = packet
-            packet.state = PacketState.ROUTING
-            packet.header_wait_since = cycle
-            self.waiting[packet] = None
-            self.active[packet] = None
-            self.pending_nodes.discard(node)
-            if self._emit is not None:
-                self._emit(
-                    TraceEvent(INJECTED, cycle, pid=packet.pid, node=node)
-                )
+        if self.pending_nodes:
+            self._life.inject(cycle, self._admit, self._finish_drop)
+
+    def _admit(self, packet: Packet, cycle: int) -> Packet:
+        """Put a queue head into the network as a header awaiting its
+        first grant; the packet itself is the injection gate's handle."""
+        packet.state = PacketState.ROUTING
+        packet.header_wait_since = cycle
+        self.waiting[packet] = None
+        self.active[packet] = None
+        if self._emit is not None:
+            self._emit(
+                TraceEvent(INJECTED, cycle, pid=packet.pid, node=packet.src)
+            )
+        return packet
 
     # -- stage 2: arbitration --------------------------------------------------
 
@@ -855,7 +717,7 @@ class WormholeSimulator:
                 if packet.injected is None:
                     packet.injected = cycle
                 if packet.launched == packet.length:
-                    self._release_injection(packet)
+                    self._release_injection(packet.src)
             hold.buffered += 1
             hold.moved += 1
             moved += 1
@@ -898,12 +760,6 @@ class WormholeSimulator:
             moved += 1
         return moved
 
-    def _release_injection(self, packet: Packet) -> None:
-        node = packet.src
-        self.injection_busy[node] = None
-        if self.queues[node]:
-            self.pending_nodes.add(node)
-
     # -- fault injection, per-packet watchdog, and retries ---------------------
 
     def _apply_faults(self, cycle: int) -> None:
@@ -943,14 +799,10 @@ class WormholeSimulator:
                 if action == FAIL:
                     state.fail_router(event.node)
                     self._kill_router_worms(event.node, cycle)
-                    self.pending_nodes.discard(event.node)
+                    self._life.router_failed(event.node)
                 else:
                     state.heal_router(event.node)
-                    if (
-                        self.queues[event.node]
-                        and self.injection_busy[event.node] is None
-                    ):
-                        self.pending_nodes.add(event.node)
+                    self._life.router_healed(event.node)
             for node in self._tables.index.affected_nodes(
                 event.node, channel_only=(event.kind == CHANNEL_FAULT)
             ):
@@ -996,7 +848,7 @@ class WormholeSimulator:
                 self._free_channel(hold.channel_id)
         packet.holds.clear()
         if self.injection_busy[packet.src] is packet:
-            self._release_injection(packet)
+            self._release_injection(packet.src)
         if self.ejection_alloc[packet.dst] is packet:
             self._free_ejector(packet.dst)
         self.active.pop(packet, None)
@@ -1019,7 +871,8 @@ class WormholeSimulator:
     def _finish_drop(
         self, packet: Packet, cycle: int, cause: str, killed: bool = False
     ) -> None:
-        """Account one drop event; retry from the source if allowed."""
+        """Mark one packet dropped and account it (the lifecycle
+        schedules the retry, if attempts remain)."""
         packet.state = PacketState.DROPPED
         packet.drop_cause = cause
         self.last_progress = cycle  # freed resources are progress
@@ -1034,39 +887,10 @@ class WormholeSimulator:
                     cause=cause,
                 )
             )
-        result = self.result
-        measured = packet.created >= self.config.warmup_cycles
-        if measured:
-            if killed:
-                result.killed_packets += 1
-            result.drops_by_cause[cause] = (
-                result.drops_by_cause.get(cause, 0) + 1
-            )
-        if packet.attempt < self.config.max_retries:
-            delay = min(
-                self.config.retry_backoff_base << packet.attempt,
-                self.config.retry_backoff_cap,
-            )
-            retry = Packet(
-                self._next_pid, packet.src, packet.dst, packet.length,
-                packet.created,
-            )
-            self._next_pid += 1
-            retry.attempt = packet.attempt + 1
-            self._retry_at.setdefault(cycle + delay, []).append(retry)
-            if measured:
-                result.retried_packets += 1
-        elif measured:
-            result.dropped_packets += 1
-
-    def _requeue(self, packet: Packet) -> None:
-        """Put a retry back into its source queue (no generation
-        accounting — the original creation already counted)."""
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if self.injection_busy[node] is None:
-            self.pending_nodes.add(node)
+        self._life.account_drop(
+            packet.src, packet.dst, packet.length, packet.created,
+            packet.attempt, cycle, cause, killed,
+        )
 
     def _check_packet_timeouts(self, cycle: int) -> None:
         """The per-packet watchdog: drop headers stalled beyond
@@ -1104,18 +928,7 @@ class WormholeSimulator:
             self._emit(
                 TraceEvent(DELIVERED, cycle, pid=packet.pid, node=packet.dst)
             )
-        if packet.created >= self.config.warmup_cycles:
-            result = self.result
-            result.delivered_packets += 1
-            result.delivered_flits += packet.length
-            result.total_latency_cycles += cycle - packet.created
-            result.total_net_latency_cycles += cycle - (
-                packet.injected if packet.injected is not None else packet.created
-            )
-            result.total_hops += packet.hops
-            result.total_misroutes += packet.misroutes
-            result.latency_by_length.setdefault(packet.length, []).append(
-                cycle - packet.created
-            )
-            if self._collectors is not None:
-                self._collectors.on_delivery(cycle - packet.created)
+        self._life.account_delivery(
+            packet.length, packet.created, packet.injected, packet.hops,
+            packet.misroutes, cycle,
+        )

@@ -5,18 +5,14 @@ selection policy* arbitrates; the paper uses **local first-come-first-
 served** (earliest arrival at the router wins), which is fair and
 prevents indefinite postponement.  When one header may choose among
 several free output channels, the *output selection policy* decides; the
-paper uses **xy** — the channel along the lowest dimension.  Alternatives
-are provided for the ablation benchmarks ([19] studies these policies in
-depth).
+paper uses **xy** — the channel along the lowest dimension ([19] studies
+these policies in depth).
 
-Output selection resolves through two registries: the
-:class:`~repro.routing.selection.policies.SelectionPolicy` classes
-(``xy``, ``round-robin``, ``max-credits``, ``threshold`` — see
-docs/SELECTION.md) take precedence, and the legacy function policies
-below (``random``, ``zigzag``) fill in the rest.
-:func:`make_output_policy` is the config-driven resolver the engine
-uses; :func:`get_output_policy` keeps its historical function-only
-behaviour for the ablation benchmarks.
+The input policies live here.  Every output policy is a
+:class:`~repro.routing.selection.policies.SelectionPolicy` class in the
+one registry ``repro.routing.selection.SELECTION_POLICIES`` (see
+docs/SELECTION.md); :func:`make_output_policy` builds the configured one
+for an engine.
 """
 
 from __future__ import annotations
@@ -25,40 +21,13 @@ import random
 from typing import Callable, Dict, List, Sequence
 
 from ..routing.selection.policies import (
-    SELECTION_POLICIES,
+    SelectionPolicy,
     make_selection_policy,
+    selection_policy_names,
 )
-from ..topology.base import Direction
 from .packet import Packet
 
-OutputSelector = Callable[[Sequence[Direction], Packet, random.Random], Direction]
 InputSelector = Callable[[Sequence[Packet], random.Random], Packet]
-
-
-def xy_output_selection(
-    options: Sequence[Direction], packet: Packet, rng: random.Random
-) -> Direction:
-    """Prefer the available channel along the lowest dimension (paper)."""
-    return min(options, key=lambda d: (d.dim, d.sign))
-
-
-def random_output_selection(
-    options: Sequence[Direction], packet: Packet, rng: random.Random
-) -> Direction:
-    """Pick uniformly among the available channels."""
-    return options[rng.randrange(len(options))]
-
-
-def zigzag_output_selection(
-    options: Sequence[Direction], packet: Packet, rng: random.Random
-) -> Direction:
-    """Prefer a different dimension than the previous hop (spreads worms
-    diagonally; an ablation alternative)."""
-    if packet.head_direction is not None:
-        other = [d for d in options if d.dim != packet.head_direction.dim]
-        if other:
-            return min(other, key=lambda d: (d.dim, d.sign))
-    return min(options, key=lambda d: (d.dim, d.sign))
 
 
 def fcfs_input_selection(
@@ -78,26 +47,10 @@ def random_input_selection(
     return contenders[rng.randrange(len(contenders))]
 
 
-OUTPUT_POLICIES: Dict[str, OutputSelector] = {
-    "xy": xy_output_selection,
-    "random": random_output_selection,
-    "zigzag": zigzag_output_selection,
-}
-
 INPUT_POLICIES: Dict[str, InputSelector] = {
     "fcfs": fcfs_input_selection,
     "random": random_input_selection,
 }
-
-
-def get_output_policy(name: str) -> OutputSelector:
-    try:
-        return OUTPUT_POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown output selection policy {name!r}; "
-            f"known: {sorted(OUTPUT_POLICIES)}"
-        ) from None
 
 
 def get_input_policy(name: str) -> InputSelector:
@@ -110,36 +63,17 @@ def get_input_policy(name: str) -> InputSelector:
         ) from None
 
 
-def output_policy_names() -> List[str]:
-    """Every accepted ``output_selection`` name: the policy classes
-    plus the legacy function policies."""
-    return sorted(set(OUTPUT_POLICIES) | set(SELECTION_POLICIES))
-
-
 def input_policy_names() -> List[str]:
     return sorted(INPUT_POLICIES)
 
 
-def make_output_policy(config) -> OutputSelector:
-    """Resolve ``config.output_selection`` to the callable the engine
-    invokes during arbitration.
+output_policy_names = selection_policy_names
 
-    Policy-class names win over the legacy table (notably ``"xy"``,
-    which resolves to a fresh
-    :class:`~repro.routing.selection.policies.XYPreference` — the same
-    choice function as the legacy ``xy`` selector, bit-identical by the
-    golden-fingerprint regression).  Each call builds a fresh instance
-    so per-run policy state (round-robin pointers) never leaks between
-    simulators.
-    """
-    name = config.output_selection
-    if name in SELECTION_POLICIES:
-        return make_selection_policy(
-            name, threshold=config.selection_threshold
-        )
-    if name in OUTPUT_POLICIES:
-        return OUTPUT_POLICIES[name]
-    raise KeyError(
-        f"unknown output selection policy {name!r}; "
-        f"known: {output_policy_names()}"
+
+def make_output_policy(config) -> SelectionPolicy:
+    """A fresh instance of the policy ``config.output_selection`` names
+    (per-run policy state — round-robin pointers — never leaks between
+    simulators)."""
+    return make_selection_policy(
+        config.output_selection, threshold=config.selection_threshold
     )

@@ -17,7 +17,6 @@ class TestMetricsCollectors:
         bundle = MetricsCollectors(num_channels=4, num_nodes=4)
         assert not bundle.any_enabled
         bundle.on_cycle_end(_waiting(0, 1))
-        bundle.on_delivery(12)
         result = SimpleNamespace(
             channel_util_series=None,
             channel_series_period=None,
@@ -56,16 +55,6 @@ class TestMetricsCollectors:
         result = SimpleNamespace(router_blocked_cycles=None)
         bundle.finish(result)
         assert result.router_blocked_cycles == [0, 0, 3, 1]
-
-    def test_latency_histogram_is_exact(self):
-        bundle = MetricsCollectors(
-            num_channels=1, num_nodes=1, collect_latency_histogram=True
-        )
-        for latency in (10, 10, 12, 30):
-            bundle.on_delivery(latency)
-        result = SimpleNamespace(latency_histogram=None)
-        bundle.finish(result)
-        assert result.latency_histogram == {10: 2, 12: 1, 30: 1}
 
 
 class TestExactPercentile:

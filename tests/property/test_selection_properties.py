@@ -38,6 +38,9 @@ class ArbitraryView:
 class FakePacket:
     head_node = 0
 
+    def __init__(self, head_direction=None):
+        self.head_direction = head_direction  # read by zigzag only
+
 
 @st.composite
 def selection_case(draw):
@@ -73,7 +76,8 @@ def test_policies_return_only_offered_candidates(name, case):
     if bound:
         policy.bind(view)
     rng = random.Random(seed)
-    packet = FakePacket()
+    # Half the cases arrive over one of the offered directions.
+    packet = FakePacket(options[seed % len(options)] if seed % 2 else None)
     # Repeated calls also exercise the stateful rotation pointers.
     for _ in range(calls):
         choice = policy(list(options), packet, rng)

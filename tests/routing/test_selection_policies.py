@@ -163,7 +163,8 @@ class TestThresholdReroute:
 class TestRegistry:
     def test_names(self):
         assert selection_policy_names() == sorted(
-            ["xy", "round-robin", "max-credits", "threshold"]
+            ["xy", "round-robin", "max-credits", "threshold", "random",
+             "zigzag"]
         )
 
     def test_make_returns_fresh_instances(self):

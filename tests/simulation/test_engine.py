@@ -1,6 +1,8 @@
 """Engine-level behaviour: generation, arbitration policies, metrics,
 determinism, and the deadlock watchdog."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import TurnModel
@@ -11,12 +13,11 @@ from repro.simulation import (
     WormholeSimulator,
     detect_deadlock,
 )
+from repro.routing.selection import XYPreference, ZigZag
 from repro.simulation.selection import (
     fcfs_input_selection,
     get_input_policy,
-    get_output_policy,
-    xy_output_selection,
-    zigzag_output_selection,
+    make_output_policy,
 )
 from repro.topology import EAST, Mesh2D, NORTH
 from repro.traffic import MeshTransposePattern, UniformPattern
@@ -115,17 +116,19 @@ class TestSelectionPolicies:
 
     def test_xy_output_selection_prefers_lowest_dimension(self):
         options = [NORTH, EAST]
-        assert xy_output_selection(options, None, None) == EAST
+        assert XYPreference()(options, None, None) == EAST
 
     def test_zigzag_prefers_dimension_change(self):
         class P:
             head_direction = EAST
 
-        assert zigzag_output_selection([EAST, NORTH], P(), None) == NORTH
+        assert ZigZag()([EAST, NORTH], P(), None) == NORTH
 
     def test_unknown_policy_names_raise(self):
         with pytest.raises(KeyError):
-            get_output_policy("nope")
+            make_output_policy(
+                SimpleNamespace(output_selection="nope", selection_threshold=2)
+            )
         with pytest.raises(KeyError):
             get_input_policy("nope")
 

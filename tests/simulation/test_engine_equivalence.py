@@ -94,6 +94,16 @@ def assert_equivalent(topology_spec, algorithm, pattern, config, trace=True):
         assert arr_sink.events == opt_sink.events
 
 
+BACKENDS = [
+    "event",
+    pytest.param(
+        "array",
+        marks=pytest.mark.skipif(
+            not numpy_available(), reason="numpy not installed"
+        ),
+    ),
+]
+
 MESH_ALGOS = ["xy", "west-first", "north-last", "negative-first"]
 
 
@@ -307,18 +317,7 @@ class TestSharedTablesIsolation:
             for plan in (permanent, transient, router)
         ]
 
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "event",
-            pytest.param(
-                "array",
-                marks=pytest.mark.skipif(
-                    not numpy_available(), reason="numpy not installed"
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_fault_runs_leave_shared_answers_untouched(self, backend):
         from repro.routing.table import NetworkTables, shared_tables
         from repro.topology.mesh import Mesh2D
@@ -353,3 +352,113 @@ class TestSharedTablesIsolation:
             for port, row in enumerate(shared_rows):
                 for dest, decision in (row or {}).items():
                     assert decision == derive(port, dest)
+
+
+class TestSharedLifecycle:
+    """Both backends really go through the one ``PacketLifecycle``:
+    generation, retry and drop accounting are counted at its methods on
+    a faults + watchdog + retries + drain point (``warmup_cycles=0``, so
+    every packet is measured), and a profiler times the same stage list
+    the unprofiled run executes."""
+
+    SPEC = ("mesh:6x6", "west-first", "uniform")
+    STAGE_ORDER = [
+        "faults", "retries", "generate", "inject", "allocate", "advance",
+        "watchdog",
+    ]
+
+    def config(self, backend):
+        topology = parse_topology_spec(self.SPEC[0])
+        return SimulationConfig(
+            offered_load=1.2, warmup_cycles=0, measure_cycles=700, seed=7,
+            drain_cycles=200, packet_timeout=100, max_retries=2,
+            fault_plan=FaultPlan.random_links(topology, 6, seed=1, start=150),
+            backend=backend,
+        )
+
+    def simulator(self, backend, profiler=None):
+        topology = parse_topology_spec(self.SPEC[0])
+        sim = make_simulator(
+            make_algorithm(self.SPEC[1], topology),
+            make_pattern(self.SPEC[2], topology),
+            self.config(backend),
+            profiler=profiler,
+        )
+        if backend == "array":
+            assert sim.vectorized
+        return sim
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_accounting_goes_through_the_lifecycle(self, backend, monkeypatch):
+        from collections import Counter
+
+        from repro.simulation.lifecycle import PacketLifecycle
+
+        calls = Counter()
+        lives = []
+
+        def counted(name):
+            original = getattr(PacketLifecycle, name)
+
+            def spy(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            return spy
+
+        for name in ("account_delivery", "account_drop", "enqueue"):
+            monkeypatch.setattr(PacketLifecycle, name, counted(name))
+        init = PacketLifecycle.__init__
+
+        def recording_init(self, *args, **kwargs):
+            lives.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PacketLifecycle, "__init__", recording_init)
+        result = self.simulator(backend).run()
+        (life,) = lives  # one lifecycle per operating point
+        assert life.result is result
+        assert result.retried_packets > 0 and result.dropped_packets > 0
+        assert calls["account_delivery"] == result.delivered_packets
+        assert calls["account_drop"] == sum(result.drops_by_cause.values())
+        assert calls["enqueue"] == result.generated_packets
+        # Conservation over every packet object ever created, fresh or
+        # retry: each was delivered, dropped, or is still somewhere.
+        in_retry_calendar = sum(len(due) for due in life.retry_at.values())
+        assert life.next_pid == (
+            calls["account_delivery"]
+            + calls["account_drop"]
+            + result.inflight_at_end
+            + life.backlog
+            + in_retry_calendar
+        )
+        assert life.backlog == sum(len(queue) for queue in life.queues)
+
+    def test_profiler_times_the_one_stage_list(self):
+        from repro.observability import PhaseProfiler
+
+        class RecordingProfiler(PhaseProfiler):
+            def __init__(self):
+                super().__init__()
+                self.order = []
+
+            def add(self, phase, seconds):
+                self.order.append(phase)
+                super().add(phase, seconds)
+
+        plain = self.simulator("event").run()
+        cycles = self.config("event").total_cycles
+        for backend in ("event", "array") if numpy_available() else ("event",):
+            profiler = RecordingProfiler()
+            profiled = self.simulator(backend, profiler=profiler).run()
+            assert profiled.to_dict() == plain.to_dict()
+            assert self.simulator(backend).run().to_dict() == plain.to_dict()
+            # The same stages in the same order, every cycle, on both
+            # engines — modulo ``route`` (nested in the event engine's
+            # ``allocate``) and ``collect`` (the array engine's pass for
+            # the collectors the event engine runs inline).
+            order = [
+                phase for phase in profiler.order
+                if phase not in ("route", "collect")
+            ]
+            assert order == self.STAGE_ORDER * cycles
