@@ -407,6 +407,13 @@ class PointMeasurement:
     avg_hops: Optional[float]
     repeats: int = 1
     baseline: Optional[Dict[str, object]] = None
+    worm_steps: Optional[int] = None
+    """Event-engine work counters: worms stepped one by one, and
+    (``bulk_flit_hops``) flit-hops applied in bulk for streaming worms
+    instead.  Counted, so machine-independent — the before/after that
+    sits beside the noisy cycles/s.  ``None`` on the array backend."""
+
+    bulk_flit_hops: Optional[int] = None
 
     @property
     def cycles_per_s(self) -> float:
@@ -428,6 +435,9 @@ class PointMeasurement:
             "flit_hops_per_s": round(self.flit_hops_per_s, 1),
             "fingerprint": list(self.fingerprint),
         }
+        if self.worm_steps is not None:
+            out["worm_steps"] = self.worm_steps
+            out["bulk_flit_hops"] = self.bulk_flit_hops
         if self.baseline is not None:
             out["baseline"] = self.baseline
             base_rate = self.baseline.get("cycles_per_s")
@@ -471,6 +481,8 @@ def run_point(point: BenchPoint, repeats: int = 1) -> PointMeasurement:
         delivered_flits=result.delivered_flits,
         avg_hops=result.avg_hops,
         repeats=repeats,
+        worm_steps=getattr(sim, "worm_steps", None),
+        bulk_flit_hops=getattr(sim, "bulk_flit_hops", None),
     )
 
 
@@ -618,7 +630,7 @@ class BenchReport:
     def render(self) -> str:
         lines = [
             f"{'point':30s} {'cycles/s':>12s} {'flit-hops/s':>13s} "
-            f"{'wall':>8s}  speedup"
+            f"{'wall':>8s} {'worm-steps':>11s} {'bulk-hops':>10s}  speedup"
         ]
         for m in self.measurements:
             speedup = ""
@@ -626,9 +638,14 @@ class BenchReport:
                 base_rate = m.baseline.get("cycles_per_s")
                 if isinstance(base_rate, (int, float)) and base_rate > 0:
                     speedup = f"{m.cycles_per_s / base_rate:7.2f}x"
+            steps, bulk = (
+                ("-", "-") if m.worm_steps is None
+                else (m.worm_steps, m.bulk_flit_hops)
+            )
             lines.append(
                 f"{m.point.id:30s} {m.cycles_per_s:12.0f} "
-                f"{m.flit_hops_per_s:13.0f} {m.wall_s:7.3f}s {speedup}"
+                f"{m.flit_hops_per_s:13.0f} {m.wall_s:7.3f}s "
+                f"{steps:>11} {bulk:>10} {speedup}"
             )
         if self.batch_measurements:
             lines.append("")
@@ -670,6 +687,9 @@ def run_bench(
                 "wall_s": prior.get("wall_s"),
                 "label": (baseline or {}).get("label", ""),
             }
+            for counter in ("worm_steps", "bulk_flit_hops"):
+                if counter in prior:
+                    measurement.baseline[counter] = prior[counter]
         report.measurements.append(measurement)
         if progress is not None:
             progress(measurement)

@@ -26,7 +26,7 @@ with the array backend; this module owns how worms occupy the network.
 
 **The event-driven hot path** (docs/PERFORMANCE.md): the engine is
 semantically a per-cycle scan of every source and every waiting header,
-but it executes three structural optimisations that skip the scans whose
+but it executes four structural optimisations that skip the scans whose
 outcome is already known — each one bit-identical to the naive scan
 (pass ``reference=True`` to run the scan-based code paths; the
 cross-equivalence suite compares the two, and the golden-fingerprint
@@ -52,11 +52,18 @@ this existed):
   channels it is watching frees (tail drain, kill), its ejection port
   frees, or a fault event fires (which wakes everyone).  Parked headers
   stay in ``waiting`` — watchdogs, deadlock detection, and the
-  blocked-cycle collectors see them exactly as before.
-
-Worms whose scan produced no movement are parked on a dormant list (their
-buffers are private, so nothing can change until an arbitration grant
-wakes them) — this keeps saturated-network cycles cheap.
+  blocked-cycle collectors see them exactly as before;
+* **dormant worms** — the movement stage skips one set of worms whose
+  next cycles are already known, because everything a worm touches is
+  privately held.  A worm whose scan moved nothing is *blocked* until an
+  arbitration grant wakes it (this keeps saturated-network cycles
+  cheap).  A worm ejecting with every buffer fed is *streaming*: each
+  cycle passes exactly one flit over every channel it holds until its
+  source runs dry, so it sleeps until the cycle its last flit launches
+  and is then *settled* — the cycles it is owed applied in one pass
+  over its holds — before that cycle's real step.  A fault that kills
+  it, and ``finalize``, settle it earlier.  Every release, delivery and
+  trace event still happens in a real step, in ``active`` order.
 
 A watchdog records the last cycle on which any flit moved or channel was
 granted; silence beyond ``config.deadlock_threshold`` with flits still in
@@ -138,9 +145,10 @@ class WormholeSimulator:
 
     ``reference=True`` selects the scan-based generation and routing
     code paths (no arrival calendar, no routing-table memo, no wakeup
-    parking).  It exists for the cross-equivalence test suite — the
-    optimised default must produce bit-identical results — and for
-    debugging suspected optimisation bugs; it is several times slower.
+    parking, no streaming-worm fast-forward).  It exists for the
+    cross-equivalence test suite — the optimised default must produce
+    bit-identical results — and for debugging suspected optimisation
+    bugs; it is several times slower.
     """
 
     def __init__(
@@ -175,7 +183,25 @@ class WormholeSimulator:
         # under randomised selection policies.
         self.waiting: Dict[Packet, None] = {}  # headers needing arbitration
         self.active: Dict[Packet, None] = {}  # worms with flits in the network
-        self.dormant: Set[Packet] = set()  # fully blocked worms
+        self.dormant: Set[Packet] = set()  # worms the movement stage skips
+
+        # Streaming worms (see ``_move``): a sleeping worm's first owed
+        # cycle, and the calendar that wakes it.  Worms only sleep when
+        # no per-cycle consumer couples them to the outside — a shared
+        # link (virtual channels), per-bucket channel counts (the series
+        # collector), or the scan oracle, which never fast-forwards.
+        self._owed: Dict[Packet, int] = {}
+        self._wake_at: Dict[int, List[Packet]] = {}  # cycle -> worms due
+        self._stream = (
+            not reference
+            and config.virtual_channels == 1
+            and config.channel_series_period == 0
+        )
+        # Host-side work counters (never part of the result): worm steps
+        # the movement stage executed one by one, and flit-hops it
+        # applied in bulk instead.  Read-only for callers.
+        self.worm_steps = 0
+        self.bulk_flit_hops = 0
 
         self.cycle = 0
         self.last_progress = 0
@@ -332,6 +358,8 @@ class WormholeSimulator:
         it folds collector state and end-of-run gauges."""
         result = self.result
         end_cycle = self._last_cycle
+        for packet in list(self._owed):  # worms still streaming at the end
+            self._settle(packet, self.cycle)
         result.inflight_at_end = len(self.active)
         result.channel_flits = self.channel_load
         if self._collectors is not None:
@@ -648,10 +676,22 @@ class WormholeSimulator:
         ):
             series = self._collectors.channel_counts
         dormant = self.dormant
+        if self._wake_at:
+            # Streaming worms sleep in ``dormant`` too.  Each one moves
+            # flits this cycle (progress, though nothing scans it), and
+            # the ones whose last flit launches now settle what they are
+            # owed and take this real step in their usual place.
+            owed = self._owed
+            if owed:
+                self.last_progress = cycle
+            for packet in self._wake_at.pop(cycle, ()):
+                if packet in owed:  # (a worm killed asleep stays listed)
+                    self._settle(packet, cycle)
         if dormant:
             movers = [p for p in self.active if p not in dormant]
         else:
             movers = list(self.active)
+        self.worm_steps += len(movers)
         links_used = None
         if self.num_vc > 1 and movers:
             # Virtual channels share their physical link: one flit per
@@ -659,6 +699,7 @@ class WormholeSimulator:
             links_used = set()
             rotation = cycle % len(movers)
             movers = movers[rotation:] + movers[:rotation]
+        stream = self._stream
         for packet in movers:
             self._link_blocked = False
             moved = self._move_packet(
@@ -666,12 +707,49 @@ class WormholeSimulator:
             )
             if moved:
                 self.last_progress = cycle
+                if (
+                    stream
+                    and packet.state is PacketState.EJECTING
+                    and packet.length - packet.launched > 2
+                    and all(hold.buffered for hold in packet.holds)
+                ):
+                    # Rigid streaming: ejecting with every buffer fed,
+                    # this worm passes exactly one flit over each held
+                    # channel per cycle — through resources nobody else
+                    # can touch — until its source runs dry.  Sleep
+                    # until the cycle the last flit launches (the
+                    # injection release must be a real step).
+                    self._owed[packet] = cycle + 1
+                    self._wake_at.setdefault(
+                        cycle + packet.length - packet.launched, []
+                    ).append(packet)
+                    dormant.add(packet)
             elif not self._link_blocked:
                 # A worm's buffers are private, so a zero-move scan stays
                 # zero until an arbitration grant un-parks the packet —
                 # unless the link-sharing arbitration (not the worm's own
                 # state) caused the stall, which can clear next cycle.
                 dormant.add(packet)
+
+    def _settle(self, packet: Packet, upto: int) -> None:
+        """Wake a streaming worm: apply, in one pass over its holds, the
+        cycles it slept through — its first owed one up to (excluding)
+        ``upto``.  Each was one flit launched, one ejected and one
+        across every held channel (counted in ``channel_load`` from the
+        warmup boundary on), with every ``buffered`` unchanged."""
+        cycles = upto - self._owed.pop(packet)
+        self.dormant.discard(packet)
+        holds = packet.holds
+        packet.launched += cycles
+        packet.ejected += cycles
+        for hold in holds:
+            hold.moved += cycles
+        loads = self.channel_load
+        counted = min(cycles, upto - self.config.warmup_cycles)
+        if loads is not None and counted > 0:
+            for hold in holds:
+                loads[hold.channel_id] += counted
+        self.bulk_flit_hops += cycles * len(holds)
 
     def _move_packet(
         self,
@@ -843,6 +921,9 @@ class WormholeSimulator:
         stall = cycle - packet.header_wait_since
         if stall > self.result.max_stall_age_cycles:
             self.result.max_stall_age_cycles = stall
+        if packet in self._owed:
+            # Cut mid-stream: count exactly the cycles before the cut.
+            self._settle(packet, cycle)
         for hold in packet.holds:
             if self.channel_alloc[hold.channel_id] is packet:
                 self._free_channel(hold.channel_id)

@@ -127,6 +127,14 @@ class TestMeasurement:
         assert m.baseline["label"] == "before"
         assert "speedup" in m.to_dict()
         assert "x" in again.render()  # the speedup column rendered
+        # The counted work rides along: in the row, the entry, and the
+        # folded baseline (same simulation, so the same counts).
+        entry = m.to_dict()
+        assert entry["worm_steps"] == m.worm_steps > 0
+        assert entry["baseline"]["worm_steps"] == m.worm_steps
+        assert entry["baseline"]["bulk_flit_hops"] == m.bulk_flit_hops
+        assert "worm-steps" in again.render()
+        assert f"{m.worm_steps:>11}" in again.render()
 
     def test_load_report_rejects_non_reports(self, tmp_path):
         path = tmp_path / "bogus.json"

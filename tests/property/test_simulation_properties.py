@@ -3,6 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import PERMANENT, FaultEvent, FaultPlan
+from repro.observability import ListSink
 from repro.routing import mesh_algorithms
 from repro.simulation import (
     PacketState,
@@ -97,3 +99,68 @@ class TestInvariantsDuringExecution:
             assert result.avg_latency_us > 0
             assert result.avg_network_latency_us <= result.avg_latency_us
             assert result.avg_hops >= 1
+
+
+@st.composite
+def streaming_case(draw):
+    """Length mix x buffer depth x load x optional fault plan, on a mesh
+    small enough that faults land on worms in mid-stream."""
+    m = draw(st.integers(4, 6))
+    mesh = Mesh2D(m, m)
+    faults = {}
+    if draw(st.booleans()):
+        start = draw(st.integers(60, 300))
+        end = draw(st.one_of(st.just(PERMANENT), st.integers(start + 1, 450)))
+        seed = draw(st.integers(0, 1_000))
+        if draw(st.booleans()):
+            plan = FaultPlan.random_links(mesh, 3, seed, start, end)
+        else:
+            node = seed % mesh.num_nodes
+            plan = FaultPlan(events=(FaultEvent.router(node, start, end),))
+        faults = dict(
+            fault_plan=plan,
+            packet_timeout=draw(st.sampled_from([0, 120, 300])),
+            max_retries=draw(st.integers(0, 2)),
+        )
+    config = SimulationConfig(
+        offered_load=draw(st.sampled_from([0.3, 0.8, 1.5, 3.0])),
+        warmup_cycles=draw(st.sampled_from([0, 80, 250])),
+        measure_cycles=400,
+        drain_cycles=draw(st.sampled_from([0, 150])),
+        seed=draw(st.integers(0, 2 ** 16)),
+        buffer_depth=draw(st.sampled_from([1, 2, 4])),
+        message_lengths=draw(
+            st.sampled_from(
+                [(10, 200), (1, 2, 100), (3, 60), (200,), (5, 20, 60)]
+            )
+        ),
+        track_channel_load=True,
+        **faults,
+    )
+    return mesh, draw(st.integers(0, 3)), config
+
+
+class TestStreamingFastForward:
+    """The event engine fast-forwards streaming worms; the scan oracle
+    (``reference=True``) steps every flit.  Same results, same trace."""
+
+    @given(streaming_case())
+    @settings(max_examples=30)
+    def test_event_engine_equals_the_scan_oracle(self, case):
+        mesh, alg_index, config = case
+        sims = []
+        for reference in (True, False):
+            sim = WormholeSimulator(
+                mesh_algorithms(mesh)[alg_index],
+                UniformPattern(mesh),
+                config,
+                sink=ListSink(),
+                reference=reference,
+            )
+            sim.run()
+            sims.append(sim)
+        ref, opt = sims
+        assert opt.result.to_dict() == ref.result.to_dict()
+        assert opt._sink.events == ref._sink.events
+        assert ref.bulk_flit_hops == 0
+        assert opt.worm_steps <= ref.worm_steps

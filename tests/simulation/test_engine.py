@@ -246,3 +246,32 @@ class TestConfigValidation:
         other = config.with_load(3.0)
         assert other.offered_load == 3.0
         assert other.seed == 42 and other.buffer_depth == 2
+
+
+class TestStreamingWorkCounters:
+    """The machine-independent gate beside the wall-clock one: on a
+    Figure 14 operating point the work the movement stage does is
+    pinned exactly.  (Host-side counters: they are not part of the
+    result, so moving them moves no digest.)"""
+
+    def test_figure14_point_counts_are_pinned(self):
+        # 16x16 west-first on transpose at 1.0 flits/us/node with the
+        # paper's 10/200-flit mix, over the FAST preset's 5 500 cycles —
+        # all of them measured, so ``channel_flits`` sums every flit-hop.
+        mesh = Mesh2D(16, 16)
+        config = SimulationConfig(
+            offered_load=1.0, warmup_cycles=0, measure_cycles=5_500,
+            seed=7, track_channel_load=True,
+        )
+        assert config.message_lengths == (10, 200)
+        sim = WormholeSimulator(
+            WestFirst(mesh), MeshTransposePattern(mesh), config
+        )
+        result = sim.run()
+        flit_hops = sum(result.channel_flits)
+        assert (sim.worm_steps, sim.bulk_flit_hops, flit_hops) == (
+            14_418, 622_760, 719_511
+        )
+        # Streaming carries the traffic: at least four flit-hops in five
+        # were applied in bulk, never stepped.
+        assert sim.bulk_flit_hops >= 0.8 * flit_hops

@@ -42,6 +42,7 @@ from repro.simulation.array_engine import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import WormholeSimulator
+from repro.simulation.packet import PacketState
 
 
 def build(topology_spec, algorithm, pattern, config, reference, sink=None):
@@ -462,3 +463,175 @@ class TestSharedLifecycle:
                 if phase not in ("route", "collect")
             ]
             assert order == self.STAGE_ORDER * cycles
+
+
+def sleeping(sim):
+    """The streaming worms ``sim`` is currently fast-forwarding: an
+    ejecting worm always moves, so it is only ever skipped asleep."""
+    return [p for p in sim.dormant if p.state is PacketState.EJECTING]
+
+
+class TestStreamingWorms:
+    """A worm ejecting with every buffer fed sleeps through the cycles
+    whose outcome is a closed form (docs/PERFORMANCE.md, "streaming
+    worms"); the scan oracle steps every one of them.  Each case
+    compares the complete result — per-channel flit counts included —
+    and the ordered trace stream, and checks through ``bulk_flit_hops``
+    that the fast-forward really carried (or, for the exclusions,
+    really did not carry) the case."""
+
+    SPEC = ("mesh:6x6", "xy", "uniform")
+    ROW = (0, 5, 200)  # one scripted 200-flit worm along row 0
+
+    def pair(self, config, spec=SPEC, scripted=()):
+        """(scan oracle, event engine) on the same point, each with a
+        sink and the scripted messages queued at cycle 0."""
+        config = dataclasses.replace(config, track_channel_load=True)
+        sims = []
+        for reference in (True, False):
+            sim = build(*spec, config, reference, ListSink())
+            for src, dst, length in scripted:
+                sim.inject_packet(src, dst, length, created=0)
+            sims.append(sim)
+        return sims
+
+    def step_to(self, sims, cycle):
+        for sim in sims:
+            while sim.cycle < cycle:
+                assert not sim.step()
+
+    def finish(self, ref, opt, bulk=True):
+        ref_result, opt_result = ref.run(), opt.run()
+        assert opt_result.to_dict() == ref_result.to_dict()
+        assert opt._sink.events == ref._sink.events
+        assert opt_result.generated_packets > 0
+        assert sum(opt_result.channel_flits) > 0
+        assert ref.bulk_flit_hops == 0  # the oracle never fast-forwards
+        assert (opt.bulk_flit_hops > 0) == bulk
+        assert opt.worm_steps < ref.worm_steps or not bulk
+        return opt_result
+
+    def check(self, config, spec=SPEC, bulk=True):
+        return self.finish(*self.pair(config, spec), bulk=bulk)
+
+    # -- (a) faults that cut a worm mid-stream -----------------------------
+
+    @pytest.mark.parametrize("kind", ["permanent", "transient", "router"])
+    def test_fault_cuts_a_sleeping_worm(self, kind):
+        from repro.faults.plan import FaultEvent
+        from repro.topology import EAST
+
+        mesh = parse_topology_spec(self.SPEC[0])
+        link = next(
+            c for c in mesh.channels() if c.src == 2 and c.direction == EAST
+        )
+        event = {
+            "permanent": FaultEvent.channel(link, start=90),
+            "transient": FaultEvent.channel(link, start=90, end=260),
+            "router": FaultEvent.router(3, start=90),
+        }[kind]
+        config = SimulationConfig(
+            offered_load=0.4, warmup_cycles=0, measure_cycles=700, seed=5,
+            drain_cycles=200, fault_plan=FaultPlan(events=(event,)),
+            packet_timeout=150, max_retries=2,
+        )
+        ref, opt = self.pair(config, scripted=[self.ROW])
+        self.step_to((ref, opt), 90)
+        (victim,) = [p for p in sleeping(opt) if p.pid == 0]
+        held = [hold.channel_id for hold in victim.holds]
+        stale = [opt.channel_load[cid] for cid in held]
+        opt.step(), ref.step()  # the fault fires: the sleeper is settled
+        assert victim.drop_cause in ("link-failure", "router-failure")
+        # Exactly the cycles streamed before the cut, on every channel
+        # the worm held (nobody else has used them since).
+        settled = [opt.channel_load[cid] for cid in held]
+        assert settled == [ref.channel_load[cid] for cid in held] != stale
+        result = self.finish(ref, opt)
+        assert result.killed_packets > 0 and result.retried_packets > 0
+
+    # -- (b) the warmup boundary and the end of the run --------------------
+
+    def test_sleeps_across_the_warmup_boundary(self):
+        config = SimulationConfig(
+            offered_load=0.3, warmup_cycles=60, measure_cycles=400, seed=2
+        )
+        ref, opt = self.pair(config, scripted=[self.ROW])
+        for cycle in (59, 61):  # asleep before the boundary and after it
+            self.step_to((ref, opt), cycle)
+            assert any(p.pid == 0 for p in sleeping(opt))
+        self.finish(ref, opt)
+
+    def test_run_ends_with_worms_asleep(self):
+        config = SimulationConfig(
+            offered_load=3.0, warmup_cycles=30, measure_cycles=120, seed=4
+        )
+        ref, opt = self.pair(config, scripted=[self.ROW])
+        self.step_to((ref, opt), config.total_cycles)
+        assert sleeping(opt)
+        result = self.finish(ref, opt)
+        assert not sleeping(opt)  # finalize settled them
+        assert result.inflight_at_end > 0
+        assert result.max_stall_age_cycles > 0
+
+    # -- (c) deep buffers, short messages ----------------------------------
+
+    def test_compressed_worms_stream_at_depth_four(self):
+        config = SimulationConfig(
+            offered_load=2.0, warmup_cycles=50, measure_cycles=500, seed=3,
+            buffer_depth=4, message_lengths=(1, 2, 5, 200),
+        )
+        spec = ("mesh:6x6", "west-first", "transpose")
+        ref, opt = self.pair(config, spec)
+        compressed = False
+        for cycle in range(50, config.total_cycles, 10):
+            self.step_to((ref, opt), cycle)
+            compressed = compressed or any(
+                hold.buffered > 1 for p in sleeping(opt) for hold in p.holds
+            )
+        assert compressed  # a worm slept with more than one flit a buffer
+        result = self.finish(ref, opt)
+        # 1- and 2-flit messages, and 5-flit ones shorter than their
+        # path, were all delivered alongside the streaming 200s.
+        assert set(result.latency_by_length) == {1, 2, 5, 200}
+
+    # -- (d) a congestion view that reads sleeping worms' buffers ----------
+
+    def test_max_credits_reads_sleeping_worms(self):
+        config = SimulationConfig(
+            offered_load=1.5, warmup_cycles=50, measure_cycles=500, seed=3,
+            buffer_depth=2, output_selection="max-credits",
+        )
+        self.check(config, ("mesh:6x6", "west-first", "transpose"))
+
+    # -- (e) the exclusions stay awake --------------------------------------
+
+    def test_series_collector_keeps_worms_awake(self):
+        config = SimulationConfig(
+            offered_load=1.2, warmup_cycles=50, measure_cycles=400, seed=3,
+            channel_series_period=50,
+        )
+        result = self.check(config, bulk=False)
+        assert result.channel_util_series
+
+    def test_virtual_channels_keep_worms_awake(self):
+        config = SimulationConfig(
+            offered_load=1.2, warmup_cycles=50, measure_cycles=400, seed=6,
+            virtual_channels=2,
+        )
+        self.check(
+            config, ("mesh:5x5", "escape-vc-adaptive", "uniform"), bulk=False
+        )
+
+    # -- (f) the deadlock watchdog sees sleeping worms move ----------------
+
+    def test_lone_sleeping_worm_is_progress(self):
+        config = SimulationConfig(
+            offered_load=0.0, warmup_cycles=0, measure_cycles=600,
+            deadlock_threshold=40,
+        )
+        ref, opt = self.pair(config, scripted=[(0, 5, 400)])
+        self.step_to((ref, opt), 300)  # 7x the threshold, all of it asleep
+        assert [p.pid for p in sleeping(opt)] == [0]
+        result = self.finish(ref, opt)
+        assert not result.deadlock
+        assert result.delivered_flits == 400
