@@ -1,167 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the wormhole engine on the canonical operating points.
-
-The measurement core lives in ``repro.analysis.bench`` (also exposed as
-``repro bench``); this script is the CI/automation entry point:
-
-    # full trajectory, written to BENCH_engine.json
-    python scripts/bench_engine.py --out BENCH_engine.json --repeats 3
-
-    # fold a pre-change report in as the per-point baseline
-    python scripts/bench_engine.py --baseline bench_before.json \
-        --out BENCH_engine.json
-
-    # CI regression gate: quick subset, both backends, one artifact
-    python scripts/bench_engine.py --quick --backend both \
-        --out BENCH_quick.json --check-against BENCH_engine.json
-
-    # append the array trajectory to the committed event-engine report
-    python scripts/bench_engine.py --backend array \
-        --merge-into BENCH_engine.json
-
-``--backend array`` runs the same operating points on the numpy array
-engine (point ids gain an ``@array`` suffix) plus the batched-sweep
-points-per-second points; ``both`` runs everything.  ``--check-against``
-fails (exit 1) when a point's fingerprint changed — the engine no
-longer computes the same simulation — or when cycles/s (points/s for
-batch points) fell more than ``--fail-threshold`` (default 30%) below
-the committed number.  See docs/PERFORMANCE.md.
-"""
-
-import argparse
-import json
-import os
+"""Delegates to ``repro bench``, the one ledger driver (docs/PERFORMANCE.md)."""
 import sys
+from pathlib import Path
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
-
-from repro.analysis.bench import (  # noqa: E402
-    batch_bench_points,
-    bench_points,
-    compare_reports,
-    load_report,
-    run_bench,
-    write_report,
-)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the quick CI subset of points",
-    )
-    parser.add_argument(
-        "--backend", choices=("event", "array", "both"), default="event",
-        help="engine backend(s) to benchmark; array/both also run the "
-        "batched-sweep points (default event)",
-    )
-    parser.add_argument(
-        "--no-batch", action="store_true",
-        help="skip the batched-sweep points-per-second points",
-    )
-    parser.add_argument(
-        "--batch-only", action="store_true",
-        help="run only the batched-sweep points (implies an array-"
-        "capable install)",
-    )
-    parser.add_argument(
-        "--merge-into", default=None,
-        help="merge this run's points into an existing report file "
-        "(preserving points this run did not re-measure)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="timed repeats per point; the best wall time is kept (default 2)",
-    )
-    parser.add_argument(
-        "--out", default=None, help="write the JSON report here",
-    )
-    parser.add_argument(
-        "--label", default="", help="free-text label stored in the report",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="prior report whose numbers are folded in as per-point baselines",
-    )
-    parser.add_argument(
-        "--check-against", default=None,
-        help="committed report to gate against (fingerprints + cycles/s)",
-    )
-    parser.add_argument(
-        "--fail-threshold", type=float, default=0.30,
-        help="max allowed cycles/s regression vs --check-against (default 0.30)",
-    )
-    args = parser.parse_args(argv)
-
-    baseline = load_report(args.baseline) if args.baseline else None
-    points = []
-    if not args.batch_only:
-        if args.backend in ("event", "both"):
-            points.extend(bench_points(quick=args.quick))
-        if args.backend in ("array", "both"):
-            points.extend(bench_points(quick=args.quick, backend="array"))
-    batch_points = []
-    if (args.backend != "event" or args.batch_only) and not args.no_batch:
-        batch_points = batch_bench_points(quick=args.quick)
-    print(
-        f"benchmarking {len(points)} point(s) + {len(batch_points)} "
-        f"batch point(s), best of {args.repeats} repeat(s) each ...",
-        flush=True,
-    )
-    report = run_bench(
-        points,
-        repeats=args.repeats,
-        baseline=baseline,
-        label=args.label,
-        progress=lambda m: print(
-            f"  {m.point.id:30s} {m.cycles_per_s:12.0f} cycles/s "
-            f"({m.wall_s:.3f}s)",
-            flush=True,
-        ),
-        batch_points=batch_points,
-        batch_progress=lambda m: print(
-            f"  {m.point.id:30s} {m.points_per_s:12.2f} pts/s "
-            f"({m.speedup:.2f}x event)",
-            flush=True,
-        ),
-    )
-    print()
-    print(report.render())
-    if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.merge_into:
-        merged = load_report(args.merge_into)
-        fresh = report.to_dict()
-        merged["points"].update(fresh["points"])
-        if fresh.get("batch_points"):
-            merged.setdefault("batch_points", {}).update(
-                fresh["batch_points"]
-            )
-        for key in ("schema", "generated_at", "python", "platform"):
-            merged[key] = fresh[key]
-        if args.label:
-            merged["label"] = args.label
-        with open(args.merge_into, "w", encoding="utf-8") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"merged into {args.merge_into}")
-    if args.check_against:
-        committed = load_report(args.check_against)
-        problems = compare_reports(
-            report, committed, fail_threshold=args.fail_threshold
-        )
-        if problems:
-            print()
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check_against}")
-    return 0
-
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

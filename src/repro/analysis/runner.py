@@ -378,12 +378,17 @@ class ResultCache:
     """Finished :class:`SimulationResult` objects, one pickle per point.
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl`` where ``key`` is
-    :meth:`PointSpec.cache_key`.  Each entry stores the spec alongside
-    the result and is validated on read, so a (vanishingly unlikely)
-    hash collision or a corrupted file degrades to a cache miss, never
-    to a wrong answer.  Writes are atomic (temp file + rename), so
+    :meth:`PointSpec.cache_key`.  Each file is the SHA-256 digest of
+    the pickled entry followed by the pickle, and each entry stores the
+    spec alongside the result; both are validated on read — the digest
+    before anything is unpickled — so a corrupted, truncated, or
+    pre-digest file, or a (vanishingly unlikely) key collision, degrades
+    to a cache miss that the next :meth:`put` repairs, never to a wrong
+    answer or an exception.  Writes are atomic (temp file + rename), so
     concurrent workers and concurrent runs can share one cache.
     """
+
+    _DIGEST_BYTES = hashlib.sha256().digest_size
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -398,8 +403,12 @@ class ResultCache:
         """The cached result for ``spec``, or None."""
         path = self.path_for(spec)
         try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
+            blob = path.read_bytes()
+            digest = blob[: self._DIGEST_BYTES]
+            payload = blob[self._DIGEST_BYTES :]
+            if hashlib.sha256(payload).digest() != digest:
+                raise ValueError("cache entry fails its checksum")
+            entry = pickle.loads(payload)
             if entry.get("point") != spec.to_dict():
                 raise ValueError("cache entry does not match its key")
             result = entry["result"]
@@ -414,11 +423,14 @@ class ResultCache:
         """Store ``result`` for ``spec`` (atomic, last writer wins)."""
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"point": spec.to_dict(), "result": result}
+        payload = pickle.dumps(
+            {"point": spec.to_dict(), "result": result},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(hashlib.sha256(payload).digest() + payload)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -21,9 +21,11 @@ Commands:
   docs/SELECTION.md);
 * ``saturation`` — batched bisection searches for the maximum
   sustainable load of each (algorithm x pattern) pair;
-* ``bench`` — time the engine on the canonical operating points and
-  (optionally) gate against the committed perf trajectory
-  ``BENCH_engine.json`` (see docs/PERFORMANCE.md).
+* ``bench`` — run the canonical operating points and pin what they
+  compute (fingerprints, counted work, event-vs-array bit-identity),
+  optionally checked for exact equality against the committed ledger
+  ``BENCH_engine.json``; no timing — that is ``bench/run.py`` (see
+  docs/PERFORMANCE.md).
 
 ``simulate`` and ``trace`` accept ``--profile`` to time the engine's hot
 phases (routing decision, switch allocation, flit advance).
@@ -54,11 +56,11 @@ from typing import Dict, List, Optional
 
 from .analysis import FAST, FIGURE_HARNESSES, FULL, format_figure
 from .analysis.bench import (
-    batch_bench_points,
+    Pin,
     bench_points,
     compare_reports,
     load_report,
-    run_bench,
+    run_point,
     write_report,
 )
 from .analysis.faultsweep import (
@@ -648,59 +650,51 @@ def cmd_saturation(args) -> int:
     return _finish_runner(runner, args)
 
 
+_PIN_HEADER = (
+    f"{'point':32s} {'members':>7s} {'generated':>10s} {'delivered':>10s} "
+    f"{'worm-steps':>11s} {'bulk-hops':>10s}  event-check"
+)
+
+
+def _format_pin(pin: Pin) -> str:
+    point = pin.point
+    if point.backend == "event":
+        steps, bulk, check = pin.worm_steps, pin.bulk_flit_hops, "-"
+    else:
+        verdict = "identical" if pin.bit_identical else "MISMATCH"
+        steps, bulk = "-", "-"
+        check = f"{point.event_sample}/{point.batch_size} {verdict}"
+    return (
+        f"{point.id:32s} {point.batch_size:7d} {pin.fingerprint[0]:10d} "
+        f"{pin.fingerprint[1]:10d} {steps:>11} {bulk:>10}  {check}"
+    )
+
+
 def cmd_bench(args) -> int:
-    baseline = load_report(args.baseline) if args.baseline else None
-    points = []
-    if args.backend in ("event", "both"):
-        points.extend(bench_points(quick=args.quick))
-    if args.backend in ("array", "both"):
-        points.extend(bench_points(quick=args.quick, backend="array"))
-    batch = []
-    if args.backend != "event" and not args.no_batch:
-        batch = batch_bench_points(quick=args.quick)
-    print(
-        f"benchmarking {len(points)} point(s) + {len(batch)} batch "
-        f"point(s), best of {args.repeats} repeat(s) each ...",
-        flush=True,
+    committed = load_report(args.check_against) if args.check_against else None
+    points = bench_points(quick=args.quick, backend=args.backend)
+    print(f"pinning {len(points)} point(s) ...")
+    print(_PIN_HEADER, flush=True)
+    pins = []
+    for point in points:
+        pins.append(run_point(point))
+        print(_format_pin(pins[-1]), flush=True)
+    _print_array_coverage(
+        args, [p.config() for p in points if p.backend == "array"], force=True
     )
-    report = run_bench(
-        points,
-        repeats=args.repeats,
-        baseline=baseline,
-        label=args.label,
-        progress=lambda m: print(
-            f"  {m.point.id:30s} {m.cycles_per_s:12.0f} cycles/s "
-            f"({m.wall_s:.3f}s)",
-            flush=True,
-        ),
-        batch_points=batch,
-        batch_progress=lambda m: print(
-            f"  {m.point.id:30s} {m.points_per_s:12.2f} pts/s "
-            f"({m.speedup:.2f}x event)",
-            flush=True,
-        ),
-    )
-    print()
-    print(report.render())
-    if args.backend != "event":
-        configs = [
-            p.config() for p in points if p.backend == "array"
-        ] + [p.config(p.base_seed, "array") for p in batch]
-        _print_array_coverage(args, configs, force=True)
     if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.check_against:
-        committed = load_report(args.check_against)
-        problems = compare_reports(
-            report, committed, fail_threshold=args.fail_threshold
-        )
-        if problems:
-            print()
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check_against}")
+        write_report(pins, args.out)
+        print(f"ledger written to {args.out}")
+    problems = compare_reports(
+        pins, committed,
+        canonical_ids={p.id for p in bench_points(backend="both")},
+    )
+    for problem in problems:
+        print(f"MISMATCH: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    if committed is not None:
+        print(f"every pin equals {args.check_against}")
     return 0
 
 
@@ -986,42 +980,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="engine benchmark on the canonical operating points "
-        "(docs/PERFORMANCE.md)",
+        help="pin what the canonical operating points compute "
+        "(docs/PERFORMANCE.md); timing is bench/run.py",
     )
     p.add_argument(
         "--quick", action="store_true",
-        help="run only the quick CI subset of points",
+        help="run only the quick subset of points",
     )
     p.add_argument(
         "--backend", choices=("event", "array", "both"), default="event",
-        help="engine backend(s) to benchmark; array/both also run the "
-        "batched-sweep points-per-second points (default event)",
+        help="engine(s) to pin; array/both need numpy and include the "
+        "batched seed sweeps (default event)",
     )
-    p.add_argument(
-        "--no-batch", action="store_true",
-        help="skip the batched-sweep points",
-    )
-    p.add_argument(
-        "--repeats", type=_positive_int, default=2,
-        help="timed repeats per point; the best wall is kept (default 2)",
-    )
-    p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument(
-        "--label", default="", help="free-text label stored in the report"
-    )
-    p.add_argument(
-        "--baseline", default=None,
-        help="prior report folded in as per-point baselines (speedup column)",
-    )
+    p.add_argument("--out", default=None, help="write the JSON ledger here")
     p.add_argument(
         "--check-against", default=None,
-        help="committed report to gate against (fingerprints + cycles/s)",
-    )
-    p.add_argument(
-        "--fail-threshold", type=float, default=0.30,
-        help="max allowed cycles/s regression vs --check-against "
-        "(default 0.30)",
+        help="committed ledger every pin must equal exactly (exit 1 on a "
+        "changed, missing, or orphaned pin)",
     )
 
     return parser

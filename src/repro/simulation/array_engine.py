@@ -2290,8 +2290,8 @@ class BatchSimulator:
     order, each bit-identical to a solo run of the same point (on either
     backend).  Points are cycle-locked: each simulated cycle advances
     every still-running member, the vectorized ones all inside shared
-    numpy kernels — which is where the batched points-per-second
-    headline in BENCH_engine.json comes from.
+    numpy kernels — which is what amortises the per-cycle dispatch
+    cost across the batch (docs/PERFORMANCE.md, "When batching wins").
     """
 
     def __init__(self, points: Sequence[tuple]) -> None:

@@ -1,6 +1,8 @@
 """Tests for the parallel experiment runner and its on-disk cache."""
 
 import dataclasses
+import pickle
+import random
 
 import pytest
 
@@ -176,9 +178,34 @@ class TestResultCache:
     def test_corrupted_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = _spec()
-        path = cache.put(spec, spec.execute())
+        stored = spec.execute()
+        path = cache.put(spec, stored)
+        good = path.read_bytes()
         path.write_bytes(b"not a pickle")
         assert cache.get(spec) is None
+        # An entry written before files carried a digest: a bare pickle.
+        path.write_bytes(
+            pickle.dumps({"point": spec.to_dict(), "result": stored})
+        )
+        assert cache.get(spec) is None
+        # Seeded fuzz — truncations, 1-3 flipped bytes, garbage files:
+        # every get is a miss or the stored result, and raises nothing.
+        rng = random.Random(20)
+        for case in range(5000):
+            if case % 3 == 0:
+                blob = good[: rng.randrange(len(good))]
+            elif case % 3 == 1:
+                flipped = bytearray(good)
+                for _ in range(rng.randint(1, 3)):
+                    flipped[rng.randrange(len(good))] ^= rng.randrange(1, 256)
+                blob = bytes(flipped)
+            else:
+                blob = rng.randbytes(rng.randrange(2 * len(good)))
+            path.write_bytes(blob)
+            assert cache.get(spec) in (None, stored)
+        # The next put repairs the entry.
+        cache.put(spec, stored)
+        assert cache.get(spec) == stored
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

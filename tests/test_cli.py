@@ -481,61 +481,88 @@ class TestSelectionCommand:
 class TestBenchCommand:
     def _patch_tiny_points(self, monkeypatch):
         import repro.cli as cli
-        from repro.analysis.bench import BenchPoint
+        from repro.analysis.bench import PinnedPoint
 
         tiny = [
-            BenchPoint(
+            PinnedPoint(
                 id="tiny", topology="mesh:4x4", algorithm="west-first",
                 pattern="uniform", offered_load=1.0, warmup_cycles=50,
                 measure_cycles=200, seed=3, quick=True,
             )
         ]
-        monkeypatch.setattr(cli, "bench_points", lambda quick=False: tiny)
+        monkeypatch.setattr(
+            cli, "bench_points", lambda quick=False, backend="event": tiny
+        )
 
     def test_bench_writes_report(self, capsys, monkeypatch, tmp_path):
         self._patch_tiny_points(monkeypatch)
         out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--quick", "--repeats", "1", "--out", str(out),
-             "--label", "test run"]
-        )
-        assert code == 0
+        assert main(["bench", "--quick", "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "tiny" in text and "cycles/s" in text
+        assert "tiny" in text and "worm-steps" in text
+        assert "/s" not in text  # pins, not rates
         report = json.loads(out.read_text())
-        assert report["label"] == "test run"
-        assert "tiny" in report["points"]
+        assert set(report) == {"schema", "points"}
+        assert set(report["points"]["tiny"]) == {
+            "spec", "fingerprint", "worm_steps", "bulk_flit_hops",
+        }
 
     def test_bench_gate_passes_against_itself(self, capsys, monkeypatch, tmp_path):
         self._patch_tiny_points(monkeypatch)
         committed = tmp_path / "committed.json"
-        assert main(["bench", "--repeats", "1", "--out", str(committed)]) == 0
+        assert main(["bench", "--out", str(committed)]) == 0
         capsys.readouterr()
-        code = main(
-            ["bench", "--repeats", "1", "--check-against", str(committed),
-             # The tiny point runs in ~ms: absorb scheduler noise so the
-             # test only exercises the (deterministic) fingerprint gate.
-             "--fail-threshold", "0.95"]
-        )
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
+        assert main(["bench", "--check-against", str(committed)]) == 0
+        assert "every pin equals" in capsys.readouterr().out
+
+    def _tamper_and_check(self, capsys, monkeypatch, tmp_path, tamper):
+        self._patch_tiny_points(monkeypatch)
+        committed = tmp_path / "committed.json"
+        assert main(["bench", "--out", str(committed)]) == 0
+        data = json.loads(committed.read_text())
+        tamper(data["points"]["tiny"])
+        committed.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["bench", "--check-against", str(committed)]) == 1
+        return capsys.readouterr().err
 
     def test_bench_gate_fails_on_fingerprint_change(
         self, capsys, monkeypatch, tmp_path
     ):
+        def tamper(entry):
+            entry["fingerprint"][0] += 1
+
+        err = self._tamper_and_check(capsys, monkeypatch, tmp_path, tamper)
+        assert "tiny: fingerprint changed" in err
+
+    def test_bench_gate_fails_on_work_counter_change(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def tamper(entry):
+            entry["worm_steps"] += 1
+
+        err = self._tamper_and_check(capsys, monkeypatch, tmp_path, tamper)
+        assert "tiny: worm_steps changed" in err
+
+    def test_bench_gate_fails_on_missing_and_orphaned_ids(
+        self, capsys, monkeypatch, tmp_path
+    ):
         self._patch_tiny_points(monkeypatch)
         committed = tmp_path / "committed.json"
-        assert main(["bench", "--repeats", "1", "--out", str(committed)]) == 0
+        assert main(["bench", "--out", str(committed)]) == 0
         data = json.loads(committed.read_text())
-        data["points"]["tiny"]["fingerprint"][0] += 1
+        data["points"]["old-name"] = data["points"].pop("tiny")
         committed.write_text(json.dumps(data))
         capsys.readouterr()
-        code = main(
-            ["bench", "--repeats", "1", "--check-against", str(committed),
-             "--fail-threshold", "0.95"]
-        )
-        assert code == 1
-        assert "fingerprint" in capsys.readouterr().err
+        assert main(["bench", "--check-against", str(committed)]) == 1
+        err = capsys.readouterr().err
+        assert "tiny: not in the committed ledger" in err
+        assert "old-name: committed, but no canonical point" in err
+
+    def test_bench_exposes_only_the_ledger_flags(self):
+        for flag in ("--repeats", "--label", "--no-batch"):
+            with pytest.raises(SystemExit):
+                main(["bench", flag, "1"])
 
 
 class TestSupervisionFlags:
