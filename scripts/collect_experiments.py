@@ -10,16 +10,16 @@ fans the operating points over N worker processes, and the on-disk
 result cache makes re-collection after an interruption (or a doc-only
 change) close to free.  See docs/PERFORMANCE.md.
 
-Long collections survive worker trouble with the supervision knobs
-(docs/RESILIENCE.md): ``--point-timeout``/``--max-point-retries`` bound
-and retry misbehaving points, ``--keep-going`` finishes the collection
-around permanent failures, and ``--journal``/``--resume`` checkpoint
-completed points so a killed collection picks up where it left off.
+Long collections survive worker trouble with the batch commands' shared
+runner flags (``repro.cli.add_runner_flags``; docs/RESILIENCE.md):
+``--point-timeout``/``--max-point-retries`` bound and retry misbehaving
+points, ``--keep-going`` finishes the collection around permanent
+failures (exit code 3, ``--failure-manifest`` lists them), and
+``--journal``/``--resume`` checkpoint completed points so a killed
+collection picks up where it left off.
 
 Run:  python scripts/collect_experiments.py [outfile] [--jobs N]
-          [--no-cache] [--cache-dir DIR] [--force]
-          [--point-timeout S] [--max-point-retries N] [--keep-going]
-          [--journal PATH] [--resume]
+          [--no-cache] [--cache-dir DIR] [--force] ...  (``--help`` lists all)
 """
 
 import argparse
@@ -28,8 +28,6 @@ import time
 
 from repro.analysis import (
     ExperimentPreset,
-    ParallelSweepRunner,
-    ResultCache,
     adaptive_vs_nonadaptive,
     compare_algorithms,
     figure13_mesh_uniform,
@@ -39,6 +37,7 @@ from repro.analysis import (
     format_figure,
     paper_hop_counts,
 )
+from repro.cli import add_runner_flags, finish_runner, make_runner
 from repro.routing import hypercube_algorithms
 from repro.topology import Hypercube
 from repro.traffic import UniformPattern
@@ -64,68 +63,20 @@ def cube_uniform(preset, progress=None, runner=None):
     )
 
 
-def parse_args():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "outfile",
         nargs="?",
         default="benchmarks/results/experiments_summary.txt",
     )
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--no-cache", dest="cache", action="store_false")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--force", action="store_true")
-    parser.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        help="wall-clock budget per point before the worker is killed",
-    )
-    parser.add_argument(
-        "--max-point-retries",
-        type=int,
-        default=0,
-        help="re-dispatch attempts per crashed/hung/raising point",
-    )
-    parser.add_argument(
-        "--keep-going",
-        dest="keep_going",
-        action="store_true",
-        default=False,
-        help="finish the collection around permanently failed points",
-    )
-    parser.add_argument(
-        "--fail-fast",
-        dest="keep_going",
-        action="store_false",
-        help="abort on the first permanent failure (default)",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        help="JSONL campaign journal checkpointing completed points",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already recorded in --journal",
-    )
-    return parser.parse_args()
-
-
-def main() -> None:
-    args = parse_args()
+    add_runner_flags(parser)
+    args = parser.parse_args(argv)
     out_path = args.outfile
-    runner = ParallelSweepRunner(
-        jobs=args.jobs,
-        cache=ResultCache(args.cache_dir) if args.cache else None,
-        force=args.force,
-        point_timeout=args.point_timeout,
-        max_point_retries=args.max_point_retries,
-        keep_going=args.keep_going,
-        journal=args.journal,
-        resume=args.resume,
-    )
+    try:
+        runner = make_runner(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     sections = []
     t0 = time.time()
 
@@ -166,17 +117,8 @@ def main() -> None:
     with open(out_path, "w") as fh:
         fh.write(report)
     print(f"\nwritten to {out_path}")
-    if runner.failures:
-        print(
-            f"{len(runner.failures)} point(s) permanently failed:",
-            file=sys.stderr,
-        )
-        for failure in runner.failures:
-            print(f"  {failure.describe()}", file=sys.stderr)
-        runner.close()
-        sys.exit(3)
-    runner.close()
+    return finish_runner(runner, args)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,7 @@ what EXPERIMENTS.md tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.adaptiveness import pcube_choice_table
@@ -44,32 +44,16 @@ class ExperimentPreset:
     cube_loads: Sequence[float]
     seed: int = 7
 
-    # Robustness knobs (threaded through from the ``figure`` CLI; the
-    # defaults reproduce the paper's fault-free runs).
-    deadlock_threshold: int = 5_000
-    packet_timeout: int = 0
-    max_retries: int = 0
-
-    # Output selection (threaded through from ``figure --selection``;
-    # the default reproduces the paper's xy rule — docs/SELECTION.md).
-    output_selection: str = "xy"
-    selection_threshold: int = 2
-
-    # Engine backend (threaded through from ``figure --backend``; the
-    # backends are bit-identical, so this is purely a speed knob).
-    backend: str = "event"
+    # Every other simulation knob (the ``figure`` CLI's flags land here;
+    # the default reproduces the paper's fault-free xy runs).
+    base: SimulationConfig = SimulationConfig()
 
     def config(self) -> SimulationConfig:
-        return SimulationConfig(
+        return replace(
+            self.base,
             warmup_cycles=self.warmup_cycles,
             measure_cycles=self.measure_cycles,
             seed=self.seed,
-            deadlock_threshold=self.deadlock_threshold,
-            packet_timeout=self.packet_timeout,
-            max_retries=self.max_retries,
-            output_selection=self.output_selection,
-            selection_threshold=self.selection_threshold,
-            backend=self.backend,
         )
 
 

@@ -13,9 +13,9 @@ machinery — the selection policy and its threshold are
 :class:`~repro.simulation.config.SimulationConfig` fields, so cache
 keys cover them.  Fault plans are drawn once per comparison and shared
 by every policy and algorithm, so the faulted halves are paired.  The
-``repro selection`` CLI subcommand and ``scripts/compare_selection.py``
-(which produces the committed ``docs/data/selection_compare.json``
-artifact) front :func:`run_selection_comparison`.
+``repro selection`` CLI subcommand fronts :func:`run_selection_comparison`
+(``repro selection --json`` writes the committed
+``docs/data/selection_compare.json`` artifact).
 """
 
 from __future__ import annotations

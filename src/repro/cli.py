@@ -1,47 +1,33 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Commands:
+Commands (``repro <command> --help`` lists each one's flags): ``list``,
+``verify`` (CDG deadlock check), ``turns`` (a prohibition set),
+``simulate`` (one operating point), ``sweep`` (a latency/throughput
+curve), ``trace`` (one point with flit-level observability;
+docs/OBSERVABILITY.md), ``figure`` (Figures 13-16), ``faults`` (a seeded
+fault-injection campaign; docs/FAULTS.md), ``selection`` (output-selection
+policies compared; docs/SELECTION.md), ``saturation`` (batched bisection
+for each pair's maximum sustainable load) and ``bench`` (the pin ledger
+``BENCH_engine.json``; no timing — that is ``bench/run.py``).
 
-* ``list`` — available algorithms, patterns, and figures;
-* ``verify`` — CDG deadlock check + connectivity for an algorithm;
-* ``turns`` — render a named prohibition set (Figures 3/5a/9a/10a);
-* ``simulate`` — one operating point (algorithm, pattern, load);
-* ``sweep`` — a latency/throughput curve over several loads;
-* ``figure`` — regenerate one of the paper's figures (13-16);
-* ``faults`` — a seeded fault-injection campaign: delivery ratio, drops
-  by cause, and retries vs. the number of failed links, per algorithm
-  (see docs/FAULTS.md);
-* ``trace`` — run one operating point with flit-level observability on:
-  JSONL event trace, text/JSON summary (latency percentiles, stall-prone
-  routers, hottest channels), and per-direction channel-utilization
-  heatmaps (see docs/OBSERVABILITY.md);
-* ``selection`` — compare output-selection policies (xy, round-robin,
-  max-credits, threshold) across algorithms, patterns, and a shared
-  fault plan, with saturation/latency deltas vs the xy baseline (see
-  docs/SELECTION.md);
-* ``saturation`` — batched bisection searches for the maximum
-  sustainable load of each (algorithm x pattern) pair;
-* ``bench`` — run the canonical operating points and pin what they
-  compute (fingerprints, counted work, event-vs-array bit-identity),
-  optionally checked for exact equality against the committed ledger
-  ``BENCH_engine.json``; no timing — that is ``bench/run.py`` (see
-  docs/PERFORMANCE.md).
+Every simulation knob is one row of ``CONFIG_FLAGS``: a flag and the
+``SimulationConfig`` field it sets.  A command exposes some rows over a
+base config — ``SimulationConfig()`` for ``simulate``/``sweep``/
+``saturation``, a shorter window for ``trace``, ``campaign_config()``
+for ``faults``, ``comparison_config()`` for ``selection``, the preset's
+``base`` for ``figure`` — and replaces only the flags given.  The
+flag's type, choices and shown default come from the field and that
+base; ``SimulationConfig`` alone decides whether a value is valid
+(docs/SIMULATOR.md's configuration reference says which commands
+expose each field).  A bad value, name or spec is a usage error (exit
+2), never a traceback.
 
-``simulate`` and ``trace`` accept ``--profile`` to time the engine's hot
-phases (routing decision, switch allocation, flit advance).
-``simulate``/``sweep``/``trace``/``figure``/``faults`` accept
-``--selection``/``--selection-threshold`` to swap the output-selection
-policy.
-
-``sweep``, ``figure``, ``faults``, ``selection``, and ``saturation``
-route through the parallel experiment runner: ``--jobs N`` fans the
-operating points over N supervised worker processes and
-``--cache``/``--no-cache``/``--cache-dir``/``--force`` control the
-on-disk result cache (results are bit-identical either way; see
-docs/PERFORMANCE.md).  The supervision knobs — ``--point-timeout``,
-``--max-point-retries``, ``--keep-going``/``--fail-fast``,
-``--journal``, ``--resume`` — make long campaigns survive worker
-crashes, hangs, and interruptions (docs/RESILIENCE.md).
+The batch commands (``sweep``, ``figure``, ``faults``, ``selection``,
+``saturation``) route through the parallel experiment runner:
+``--jobs``, the result-cache flags (docs/PERFORMANCE.md) and the
+supervision flags (docs/RESILIENCE.md).  ``add_runner_flags``/
+``make_runner``/``finish_runner`` are that shared surface;
+``scripts/collect_experiments.py`` uses it too.
 
 Topology specs: ``mesh:16x16`` (any ``AxBxC...``), ``cube:8`` (binary
 n-cube), ``torus:8x2`` (k-ary n-cube, k then n).
@@ -52,7 +38,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from collections import Counter
+from dataclasses import asdict, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from .analysis import FAST, FIGURE_HARNESSES, FULL, format_figure
 from .analysis.bench import (
@@ -65,11 +54,13 @@ from .analysis.bench import (
 )
 from .analysis.faultsweep import (
     DEFAULT_ALGORITHMS,
+    DEFAULT_FAULT_COUNTS,
     campaign_config,
     run_fault_campaign,
 )
 from .analysis.selection import (
     DEFAULT_COMPARE_ALGORITHMS,
+    DEFAULT_COMPARE_LOADS,
     DEFAULT_COMPARE_PATTERNS,
     DEFAULT_POLICIES,
     comparison_config,
@@ -79,7 +70,7 @@ from .analysis.runner import (
     PATTERN_NAMES,
     ParallelSweepRunner,
     ResultCache,
-    make_pattern as _make_pattern,
+    make_pattern,
     parse_topology_spec,
 )
 from .analysis.sweep import run_sweep
@@ -97,7 +88,6 @@ from .routing.registry import algorithm_names, make_algorithm
 from .simulation.array_engine import make_simulator
 from .simulation.config import BACKENDS, SimulationConfig
 from .simulation.selection import output_policy_names
-from .topology.base import Topology
 from .topology.mesh import Mesh2D
 from .verification import check_connectivity, verify_algorithm
 from .viz import hottest_channels, render_turn_set, render_utilization_heatmaps
@@ -109,19 +99,144 @@ TURN_MODELS = {
     "negative-first": TurnModel.negative_first,
 }
 
-def parse_topology(spec: str) -> Topology:
-    """Parse ``mesh:16x16`` / ``cube:8`` / ``torus:8x2`` specs."""
-    try:
-        return parse_topology_spec(spec)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+# Every simulation knob a command can expose, declared once:
+# (flag, SimulationConfig field, help).
+CONFIG_FLAGS = (
+    ("--load", "offered_load", "offered traffic per node, flits/us"),
+    ("--warmup", "warmup_cycles", "cycles simulated before measurement starts"),
+    ("--cycles", "measure_cycles", "cycles in the measurement window"),
+    ("--seed", "seed", "simulation seed"),
+    ("--buffer-depth", "buffer_depth", "flits of buffering per input channel"),
+    ("--vc", "virtual_channels", "virtual channels per link"),
+    ("--drain", "drain_cycles", "post-measurement cycles to let packets resolve"),
+    ("--deadlock-threshold", "deadlock_threshold", "silent cycles before a deadlock"),
+    ("--packet-timeout", "packet_timeout", "per-packet stall watchdog (0 disables)"),
+    ("--max-retries", "max_retries", "source retries after a drop (0 disables)"),
+    (
+        "--retry-backoff-base",
+        "retry_backoff_base",
+        "cycles before the first retry (doubles per attempt)",
+    ),
+    ("--retry-backoff-cap", "retry_backoff_cap", "upper bound on the retry backoff"),
+    ("--selection", "output_selection", "output-selection policy (docs/SELECTION.md)"),
+    (
+        "--selection-threshold",
+        "selection_threshold",
+        "downstream occupancy at which the 'threshold' policy reroutes",
+    ),
+    ("--backend", "backend", "engine backend (array requires numpy)"),
+)
+_FLAG_OF = {field: flag for flag, field, _ in CONFIG_FLAGS}
+_CHOICES = {"output_selection": output_policy_names(), "backend": BACKENDS}
+
+# Rows shared by several commands.
+_RUN = "--warmup --cycles --seed --buffer-depth --vc"
+_KNOBS = (
+    "--deadlock-threshold --packet-timeout --max-retries --retry-backoff-base "
+    "--retry-backoff-cap --selection --selection-threshold --backend"
+)
+
+_RUNNER_FLAGS = {
+    "jobs": "--jobs",
+    "point_timeout": "--point-timeout",
+    "max_point_retries": "--max-point-retries",
+}
 
 
-def make_pattern(name: str, topology: Topology):
+def _construct(factory: Callable, given: Dict[str, object], flags: Dict[str, str]):
+    """``factory(**given)``; its ValueError is re-raised naming each
+    flag (``flags`` maps keyword to flag) whose value it rejects alone."""
+
+    def rejects(key: str) -> bool:
+        try:
+            factory(**{key: given[key]})
+        except ValueError:
+            return True
+        return False
+
     try:
-        return _make_pattern(name, topology)
+        return factory(**given)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+        bad = [
+            f"{flag} {given[key]}"
+            for key, flag in flags.items()
+            if key in given and rejects(key)
+        ]
+        message = f"invalid {', '.join(bad)}: {exc}" if bad else str(exc)
+        raise ValueError(message) from exc
+
+
+def _config(args, base: Optional[SimulationConfig] = None) -> SimulationConfig:
+    """The command's base config (or ``base``) with the config flags the
+    user gave replaced; ``SimulationConfig`` checks every value."""
+    if base is None:
+        base = args.base
+    given = {field: getattr(args, field) for field in _FLAG_OF if hasattr(args, field)}
+    return _construct(partial(replace, base), given, _FLAG_OF)
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for the counts that are not config fields: an
+    integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {minimum}, got {text!r}"
+        )
+
+    return parse
+
+
+def _add_list_flag(
+    p: argparse.ArgumentParser, flag: str, kind: type, default, what: str
+) -> None:
+    """A comma-separated list flag: ``a,b`` gives ``[kind(a), kind(b)]``;
+    an empty or unparsable list is a usage error."""
+
+    def parse(text: str) -> list:
+        try:
+            items = [kind(part.strip()) for part in text.split(",") if part.strip()]
+            if items:
+                return items
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of {kind.__name__}, got {text!r}"
+        )
+
+    p.add_argument(flag, type=parse, default=default, help=f"comma-separated {what}")
+
+
+def _network(args):
+    """The topology and routing algorithm ``args`` name."""
+    topology = parse_topology_spec(args.topology)
+    try:
+        return topology, make_algorithm(args.algorithm, topology)
+    except ValueError as exc:
+        raise ValueError(f"{args.algorithm} on {args.topology}: {exc}") from exc
+
+
+def _progress(args) -> Optional[Callable]:
+    """Per-point progress lines, unless the command prints JSON."""
+    if getattr(args, "json", False):
+        return None
+    return lambda r: print("  ...", r.summary(), flush=True)
+
+
+def _print_report(args, report) -> None:
+    """A campaign report as JSON (``--json``) or as its text rows."""
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        print()
+        for row in report.rows():
+            print(row)
 
 
 def cmd_list(args) -> int:
@@ -134,8 +249,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    topology = parse_topology(args.topology)
-    algorithm = make_algorithm(args.algorithm, topology)
+    topology, algorithm = _network(args)
     verdict = verify_algorithm(algorithm)
     print(
         f"{algorithm.name} on {topology!r}: "
@@ -158,82 +272,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_turns(args) -> int:
-    factory = TURN_MODELS.get(args.model)
-    if factory is None:
-        raise SystemExit(
-            f"unknown turn model {args.model!r}; choose from "
-            f"{sorted(TURN_MODELS)}"
-        )
-    print(render_turn_set(factory()))
+    print(render_turn_set(TURN_MODELS[args.model]()))
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer that must be strictly positive."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a float that must be strictly positive."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {value}"
-        )
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer that must be >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {value}"
-        )
-    return value
-
-
-def _config(args) -> SimulationConfig:
-    return SimulationConfig(
-        offered_load=getattr(args, "load", 1.0),
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        buffer_depth=args.buffer_depth,
-        virtual_channels=getattr(args, "vc", 1),
-        output_selection=getattr(args, "selection", "xy"),
-        selection_threshold=getattr(args, "selection_threshold", 2),
-        deadlock_threshold=getattr(args, "deadlock_threshold", 5_000),
-        packet_timeout=getattr(args, "packet_timeout", 0),
-        max_retries=getattr(args, "max_retries", 0),
-        retry_backoff_base=getattr(args, "retry_backoff_base", 32),
-        retry_backoff_cap=getattr(args, "retry_backoff_cap", 2_048),
-        backend=getattr(args, "backend", "event"),
-    )
-
-
 def cmd_simulate(args) -> int:
-    topology = parse_topology(args.topology)
-    algorithm = make_algorithm(args.algorithm, topology)
+    topology, algorithm = _network(args)
     pattern = make_pattern(args.pattern, topology)
     profiler = PhaseProfiler() if args.profile else None
-    result = make_simulator(
-        algorithm, pattern, _config(args), profiler=profiler
-    ).run()
+    result = make_simulator(algorithm, pattern, _config(args), profiler=profiler).run()
     print(result.summary())
     if result.avg_hops is not None:
         print(
@@ -248,21 +295,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    topology = parse_topology(args.topology)
-    algorithm = make_algorithm(args.algorithm, topology)
+    topology, algorithm = _network(args)
     pattern = make_pattern(args.pattern, topology)
-    kinds = None
-    if args.events:
-        kinds = [part.strip() for part in args.events.split(",") if part.strip()]
-        unknown = sorted(set(kinds) - set(EVENT_KINDS))
+    if args.events is not None:
+        unknown = sorted(set(args.events) - set(EVENT_KINDS))
         if unknown:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown trace event kinds {unknown}; "
                 f"choose from {list(EVENT_KINDS)}"
             )
-    config = _config(args).with_observability(
-        channel_series_period=args.series_period
-    )
+    config = _config(args).with_observability(channel_series_period=args.series_period)
     header = trace_header(
         topology=args.topology,
         algorithm=algorithm.name,
@@ -270,12 +312,10 @@ def cmd_trace(args) -> int:
         config_hash=config.stable_hash(),
     )
     sink = JsonlTraceSink(args.out, header=header)
-    if kinds is not None:
-        sink = FilteringSink(sink, kinds)
+    if args.events is not None:
+        sink = FilteringSink(sink, args.events)
     profiler = PhaseProfiler() if args.profile else None
-    simulator = make_simulator(
-        algorithm, pattern, config, sink=sink, profiler=profiler
-    )
+    simulator = make_simulator(algorithm, pattern, config, sink=sink, profiler=profiler)
     result = simulator.run()
     sink.close()
 
@@ -293,9 +333,7 @@ def cmd_trace(args) -> int:
     heatmap_text = None
     if args.heatmap is not None:
         if not isinstance(topology, Mesh2D):
-            raise SystemExit(
-                "--heatmap requires a 2D mesh topology (mesh:AxB)"
-            )
+            raise ValueError("--heatmap requires a 2D mesh topology (mesh:AxB)")
         if totals is None:
             raise SystemExit(
                 "--heatmap needs a non-empty utilization series (the run "
@@ -331,9 +369,7 @@ def cmd_trace(args) -> int:
     print(result.summary())
     print()
     print(summary.render())
-    pct = {
-        f"p{p:g}": result.latency_percentile(p) for p in (50, 90, 99, 100)
-    }
+    pct = {f"p{p:g}": result.latency_percentile(p) for p in (50, 90, 99, 100)}
     if pct["p50"] is not None:
         shown = ", ".join(f"{k}={v}" for k, v in pct.items())
         print(f"creation->delivery latency (cycles): {shown}")
@@ -350,34 +386,31 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _make_runner(args) -> ParallelSweepRunner:
-    """Build the experiment runner the sweep/figure commands route
-    through, from the shared ``--jobs``/``--cache*``/``--force`` flags
-    and the supervision knobs (docs/RESILIENCE.md)."""
-    cache = None
-    if getattr(args, "cache", True):
-        cache = ResultCache(getattr(args, "cache_dir", None))
-    try:
-        return ParallelSweepRunner(
-            jobs=getattr(args, "jobs", 1),
-            cache=cache,
-            force=getattr(args, "force", False),
-            point_timeout=getattr(args, "point_timeout", None),
-            max_point_retries=getattr(args, "max_point_retries", 0),
-            keep_going=getattr(args, "keep_going", False),
-            journal=getattr(args, "journal", None),
-            resume=getattr(args, "resume", False),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+def make_runner(args) -> ParallelSweepRunner:
+    """The experiment runner a batch command routes through, from the
+    flags :func:`add_runner_flags` declares (docs/RESILIENCE.md);
+    ``ParallelSweepRunner`` checks their values."""
+    return _construct(
+        ParallelSweepRunner,
+        dict(
+            jobs=args.jobs,
+            cache=ResultCache(args.cache_dir) if args.cache else None,
+            force=args.force,
+            point_timeout=args.point_timeout,
+            max_point_retries=args.max_point_retries,
+            keep_going=args.keep_going,
+            journal=args.journal,
+            resume=args.resume,
+        ),
+        _RUNNER_FLAGS,
+    )
 
 
-def _print_array_coverage(args, configs, force: bool = False) -> None:
-    """For ``--backend array`` runs: print what fraction of the points
-    ride the vectorized kernels (and why the rest demoted to the
-    scalar-member fallback), so silent fast-path loss is visible."""
-    if not force and getattr(args, "backend", "event") != "array":
-        return
+def _print_array_coverage(args, configs) -> None:
+    """For the points on the array backend: print what fraction ride the
+    vectorized kernels (and why the rest demoted to the scalar-member
+    fallback), so silent fast-path loss is visible."""
+    configs = [config for config in configs if config.backend == "array"]
     if not configs or getattr(args, "json", False):
         return
     from .simulation.array_engine import demotion_reasons
@@ -388,62 +421,44 @@ def _print_array_coverage(args, configs, force: bool = False) -> None:
         f"[array backend: {vectorized}/{len(configs)} point(s) "
         f"vectorized ({vectorized / len(configs):.0%})"
     )
-    if vectorized < len(configs):
-        counts: Dict[str, int] = {}
-        for reasons in reasons_per_point:
-            for reason in reasons:
-                counts[reason] = counts.get(reason, 0) + 1
+    counts = Counter(reason for reasons in reasons_per_point for reason in reasons)
+    if counts:
         line += "; demoted by " + ", ".join(
             f"{reason} x{count}" for reason, count in sorted(counts.items())
         )
     print(line + "]")
 
 
-def _finish_runner(runner: ParallelSweepRunner, args) -> int:
+def finish_runner(runner: ParallelSweepRunner, args) -> int:
     """Print the runner's stats line and failure manifest; close the
     journal.  Returns the command exit code: 0 clean, 3 when points
     permanently failed under ``--keep-going`` (partial results were
     still printed)."""
-    quiet = getattr(args, "json", False)
-    if not quiet:
+    if not getattr(args, "json", False):
         print(f"[{runner.stats.summary()}]")
-    if runner.failures:
-        print(
-            f"{len(runner.failures)} point(s) permanently failed:",
-            file=sys.stderr,
-        )
-        for failure in runner.failures:
-            print(f"  {failure.describe()}", file=sys.stderr)
-        manifest = getattr(args, "failure_manifest", None)
-        if manifest:
-            with open(manifest, "w", encoding="utf-8") as fh:
-                for failure in runner.failures:
-                    fh.write(
-                        json.dumps(
-                            failure.to_dict(), sort_keys=True, default=str
-                        )
-                        + "\n"
-                    )
-            print(f"failure manifest written to {manifest}", file=sys.stderr)
-        runner.close()
-        return 3
     runner.close()
-    return 0
+    if not runner.failures:
+        return 0
+    print(f"{len(runner.failures)} point(s) permanently failed:", file=sys.stderr)
+    for failure in runner.failures:
+        print(f"  {failure.describe()}", file=sys.stderr)
+    manifest = args.failure_manifest
+    if manifest:
+        with open(manifest, "w", encoding="utf-8") as fh:
+            for failure in runner.failures:
+                fh.write(json.dumps(failure.to_dict(), sort_keys=True, default=str))
+                fh.write("\n")
+        print(f"failure manifest written to {manifest}", file=sys.stderr)
+    return 3
 
 
 def cmd_sweep(args) -> int:
-    topology = parse_topology(args.topology)
-    algorithm = make_algorithm(args.algorithm, topology)
+    topology, algorithm = _network(args)
     pattern = make_pattern(args.pattern, topology)
-    loads = [float(part) for part in args.loads.split(",")]
-    runner = _make_runner(args)
+    config = _config(args)
+    runner = make_runner(args)
     series = run_sweep(
-        algorithm,
-        pattern,
-        loads,
-        _config(args),
-        progress=lambda r: print("  ", r.summary(), flush=True),
-        runner=runner,
+        algorithm, pattern, args.loads, config, progress=_progress(args), runner=runner
     )
     print()
     for row in series.rows():
@@ -452,175 +467,81 @@ def cmd_sweep(args) -> int:
         f"max sustainable throughput: "
         f"{series.max_sustainable_throughput():.1f} flits/us"
     )
-    _print_array_coverage(args, [_config(args)] * len(loads))
-    return _finish_runner(runner, args)
+    _print_array_coverage(args, [config] * len(args.loads))
+    return finish_runner(runner, args)
 
 
 def _resolve_figure(name: str):
     """Accept both ``fig13`` and the bare paper number ``13``."""
-    harness = FIGURE_HARNESSES.get(name)
-    if harness is None:
-        harness = FIGURE_HARNESSES.get(f"fig{name}")
-        if harness is not None:
-            name = f"fig{name}"
-    if harness is None:
-        raise SystemExit(
-            f"unknown figure {name!r}; choose from "
-            f"{sorted(FIGURE_HARNESSES)}"
-        )
-    return name, harness
+    for key in (name, f"fig{name}"):
+        if key in FIGURE_HARNESSES:
+            return key, FIGURE_HARNESSES[key]
+    raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURE_HARNESSES)}")
 
 
 def cmd_figure(args) -> int:
-    from dataclasses import replace
-
     name, harness = _resolve_figure(args.name)
-    preset = FULL if (args.full or args.preset == "full") else FAST
-    overrides = {
-        knob: getattr(args, knob)
-        for knob in ("deadlock_threshold", "packet_timeout", "max_retries")
-        if getattr(args, knob) != getattr(preset, knob)
-    }
-    if args.selection != preset.output_selection:
-        overrides["output_selection"] = args.selection
-    if args.selection_threshold != preset.selection_threshold:
-        overrides["selection_threshold"] = args.selection_threshold
-    if args.backend != preset.backend:
-        overrides["backend"] = args.backend
-    if overrides:
-        preset = replace(preset, **overrides)
-    runner = _make_runner(args)
-    series = harness(
-        preset,
-        progress=lambda r: print("  ...", r.summary(), flush=True),
-        runner=runner,
-    )
+    preset = {"fast": FAST, "full": FULL}[args.preset]
+    base = _config(args, preset.base)
+    if base != preset.base:
+        preset = replace(preset, base=base)
+    runner = make_runner(args)
+    series = harness(preset, progress=_progress(args), runner=runner)
     print()
     print(format_figure(name, series))
-    return _finish_runner(runner, args)
+    return finish_runner(runner, args)
 
 
 def cmd_faults(args) -> int:
-    algorithms = [part.strip() for part in args.algorithms.split(",") if part.strip()]
-    if not algorithms:
-        raise SystemExit("--algorithms must name at least one algorithm")
-    try:
-        fault_counts = [int(part) for part in args.faults.split(",")]
-    except ValueError:
-        raise SystemExit(f"bad --faults list {args.faults!r}")
-    config = campaign_config(
-        offered_load=args.load,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        packet_timeout=args.packet_timeout,
-        max_retries=args.max_retries,
-        drain_cycles=args.drain,
-        retry_backoff_base=args.retry_backoff_base,
-        retry_backoff_cap=args.retry_backoff_cap,
-        deadlock_threshold=args.deadlock_threshold,
-        output_selection=args.selection,
-        selection_threshold=args.selection_threshold,
-        backend=args.backend,
+    config = _config(args)
+    runner = make_runner(args)
+    campaign = run_fault_campaign(
+        topology=args.topology,
+        algorithms=args.algorithms,
+        pattern=args.pattern,
+        fault_counts=args.faults,
+        trials=args.trials,
+        base_config=config,
+        seed=args.campaign_seed,
+        fault_start=args.fault_start,
+        runner=runner,
+        progress=_progress(args),
     )
-    runner = _make_runner(args)
-    progress = None
-    if not args.json:
-        progress = lambda r: print("  ...", r.summary(), flush=True)  # noqa: E731
-    try:
-        campaign = run_fault_campaign(
-            topology=args.topology,
-            algorithms=algorithms,
-            pattern=args.pattern,
-            fault_counts=fault_counts,
-            trials=args.trials,
-            base_config=config,
-            seed=args.campaign_seed,
-            fault_start=args.fault_start,
-            runner=runner,
-            progress=progress,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
-    if args.json:
-        print(json.dumps(campaign.to_dict(), indent=2, sort_keys=True))
-    else:
-        print()
-        for row in campaign.rows():
-            print(row)
+    _print_report(args, campaign)
     _print_array_coverage(args, [config])
-    return _finish_runner(runner, args)
+    return finish_runner(runner, args)
 
 
 def cmd_selection(args) -> int:
-    def _csv(text: str) -> List[str]:
-        return [part.strip() for part in text.split(",") if part.strip()]
-
-    algorithms = _csv(args.algorithms)
-    patterns = _csv(args.patterns)
-    policies = _csv(args.policies)
-    try:
-        loads = [float(part) for part in args.loads.split(",")]
-    except ValueError:
-        raise SystemExit(f"bad --loads list {args.loads!r}")
-    config = comparison_config(
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        backend=args.backend,
+    config = _config(args)
+    runner = make_runner(args)
+    comparison = run_selection_comparison(
+        topology=args.topology,
+        algorithms=args.algorithms,
+        patterns=args.patterns,
+        policies=args.policies,
+        loads=args.loads,
+        base_config=config,
+        fault_links=args.fault_links,
+        fault_seed=args.fault_seed,
+        selection_threshold=config.selection_threshold,
+        runner=runner,
+        progress=_progress(args),
     )
-    runner = _make_runner(args)
-    progress = None
-    if not args.json:
-        progress = lambda r: print("  ...", r.summary(), flush=True)  # noqa: E731
-    try:
-        comparison = run_selection_comparison(
-            topology=args.topology,
-            algorithms=algorithms,
-            patterns=patterns,
-            policies=policies,
-            loads=loads,
-            base_config=config,
-            fault_links=args.fault_links,
-            fault_seed=args.fault_seed,
-            selection_threshold=args.selection_threshold,
-            runner=runner,
-            progress=progress,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
-    else:
-        print()
-        for row in comparison.rows():
-            print(row)
-    return _finish_runner(runner, args)
+    _print_report(args, comparison)
+    return finish_runner(runner, args)
 
 
 def cmd_saturation(args) -> int:
     from .analysis import find_saturation_many, format_saturation_points
 
-    algorithms = [
-        part.strip() for part in args.algorithms.split(",") if part.strip()
+    topology = parse_topology_spec(args.topology)
+    pairs = [
+        (make_algorithm(algorithm, topology), make_pattern(pattern, topology))
+        for algorithm in args.algorithms
+        for pattern in args.patterns
     ]
-    if not algorithms:
-        raise SystemExit("--algorithms must name at least one algorithm")
-    patterns = [
-        part.strip() for part in args.patterns.split(",") if part.strip()
-    ]
-    if not patterns:
-        raise SystemExit("--patterns must name at least one pattern")
-    topology = parse_topology(args.topology)
-    try:
-        pairs = [
-            (make_algorithm(algorithm, topology), _make_pattern(p, topology))
-            for algorithm in algorithms
-            for p in patterns
-        ]
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
-    runner = _make_runner(args)
+    runner = make_runner(args)
     points = find_saturation_many(
         pairs,
         base_config=_config(args),
@@ -632,22 +553,12 @@ def cmd_saturation(args) -> int:
     if args.json:
         payload = {
             "topology": args.topology,
-            "points": [
-                {
-                    "algorithm": p.algorithm,
-                    "pattern": p.pattern,
-                    "max_sustainable_load": p.max_sustainable_load,
-                    "throughput_flits_per_us": p.throughput_flits_per_us,
-                    "latency_us": p.latency_us,
-                    "probes": p.probes,
-                }
-                for p in points
-            ],
+            "points": [asdict(point) for point in points],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(format_saturation_points(points))
-    return _finish_runner(runner, args)
+    return finish_runner(runner, args)
 
 
 _PIN_HEADER = (
@@ -679,15 +590,12 @@ def cmd_bench(args) -> int:
     for point in points:
         pins.append(run_point(point))
         print(_format_pin(pins[-1]), flush=True)
-    _print_array_coverage(
-        args, [p.config() for p in points if p.backend == "array"], force=True
-    )
+    _print_array_coverage(args, [point.config() for point in points])
     if args.out:
         write_report(pins, args.out)
         print(f"ledger written to {args.out}")
     problems = compare_reports(
-        pins, committed,
-        canonical_ids={p.id for p in bench_points(backend="both")},
+        pins, committed, canonical_ids={p.id for p in bench_points(backend="both")}
     )
     for problem in problems:
         print(f"MISMATCH: {problem}", file=sys.stderr)
@@ -715,12 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="deadlock-freedom check (CDG)")
     p.add_argument("algorithm")
     p.add_argument("--topology", default="mesh:8x8")
-    p.add_argument(
-        "--connectivity", action="store_true", help="also walk all pairs"
-    )
+    p.add_argument("--connectivity", action="store_true", help="also walk all pairs")
 
     p = sub.add_parser("turns", help="render a prohibition set")
-    p.add_argument("model")
+    p.add_argument("model", choices=sorted(TURN_MODELS))
 
     for name, helptext in (
         ("simulate", "one operating point"),
@@ -730,26 +636,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("algorithm")
         p.add_argument("--topology", default="mesh:16x16")
         p.add_argument("--pattern", default="uniform")
-        p.add_argument("--warmup", type=int, default=2_000)
-        p.add_argument("--cycles", type=int, default=8_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--buffer-depth", type=int, default=1)
-        p.add_argument(
-            "--vc", type=int, default=1, help="virtual channels per link"
-        )
-        _add_robustness_flags(p)
-        _add_selection_flags(p)
-        _add_backend_flag(p)
         if name == "simulate":
-            p.add_argument("--load", type=float, default=1.0)
-            p.add_argument(
-                "--profile",
-                action="store_true",
-                help="time the engine's hot phases and print the report",
-            )
+            _add_config_flags(p, SimulationConfig(), f"--load {_RUN} {_KNOBS}")
+            _add_profile_flag(p)
         else:
-            p.add_argument("--loads", default="0.5,1.0,1.5,2.0")
-            _add_runner_flags(p)
+            _add_config_flags(p, SimulationConfig(), f"{_RUN} {_KNOBS}")
+            _add_list_flag(p, "--loads", float, (0.5, 1.0, 1.5, 2.0), "offered loads")
+            add_runner_flags(p)
 
     p = sub.add_parser(
         "trace",
@@ -759,49 +652,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithm")
     p.add_argument("--topology", default="mesh:8x8")
     p.add_argument("--pattern", default="uniform")
-    p.add_argument("--load", type=float, default=1.0)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer-depth", type=int, default=1)
-    p.add_argument(
-        "--vc", type=int, default=1, help="virtual channels per link"
+    _add_config_flags(
+        p,
+        SimulationConfig(warmup_cycles=500, measure_cycles=2_000),
+        f"--load {_RUN} {_KNOBS}",
     )
     p.add_argument(
         "--out",
         default="trace.jsonl",
         help="JSONL trace file to write (default trace.jsonl)",
     )
-    p.add_argument(
-        "--events",
-        default=None,
-        help="comma-separated event kinds to keep (default: all)",
-    )
+    _add_list_flag(p, "--events", str, None, "event kinds to keep (default: all)")
     p.add_argument(
         "--series-period",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=100,
         help="bucket width, in cycles, of the utilization time series",
     )
     p.add_argument(
         "--heatmap",
-        default=None,
         help="write per-direction channel-utilization heatmaps to this "
         "file ('-' prints them; 2D meshes only)",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the run + trace summary as JSON instead of text",
-    )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the engine's hot phases and print the report",
-    )
-    _add_robustness_flags(p)
-    _add_selection_flags(p)
-    _add_backend_flag(p)
+    _add_profile_flag(p)
+    _add_json_flag(p, "the run + trace summary")
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument("name", help="fig13..fig16, or the bare number")
@@ -811,47 +685,29 @@ def build_parser() -> argparse.ArgumentParser:
         default="fast",
         help="experiment preset (fast: reduced grid; full: denser/longer)",
     )
-    p.add_argument(
-        "--full",
-        action="store_true",
-        help="alias for --preset full (kept for compatibility)",
-    )
-    _add_robustness_flags(p)
-    _add_selection_flags(p)
-    _add_backend_flag(p)
-    _add_runner_flags(p)
+    _add_config_flags(p, FAST.base, _KNOBS)
+    add_runner_flags(p)
 
     p = sub.add_parser(
         "faults", help="seeded fault-injection campaign (docs/FAULTS.md)"
     )
     p.add_argument("--topology", default="mesh:16x16")
-    p.add_argument(
-        "--algorithms",
-        default=",".join(DEFAULT_ALGORITHMS),
-        help="comma-separated routing algorithms to compare",
+    _add_list_flag(
+        p, "--algorithms", str, DEFAULT_ALGORITHMS, "routing algorithms to compare"
     )
     p.add_argument("--pattern", default="uniform")
-    p.add_argument(
-        "--faults",
-        default="1,2,4,8",
-        help="comma-separated failed-link counts to sweep",
+    _add_list_flag(
+        p, "--faults", int, DEFAULT_FAULT_COUNTS, "failed-link counts to sweep"
     )
     p.add_argument(
         "--trials",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=3,
         help="fault plans drawn per fault count (default 3)",
     )
-    p.add_argument("--load", type=float, default=0.5)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=4_000)
-    p.add_argument(
-        "--drain",
-        type=_non_negative_int,
-        default=3_000,
-        help="post-measurement cycles to let in-flight packets resolve",
+    _add_config_flags(
+        p, campaign_config(), f"--load --warmup --cycles --drain --seed {_KNOBS}"
     )
-    p.add_argument("--seed", type=int, default=1, help="simulation seed")
     p.add_argument(
         "--campaign-seed",
         type=int,
@@ -860,21 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fault-start",
-        type=_non_negative_int,
+        type=_int_at_least(0),
         default=0,
         help="cycle the failures appear at (0 = broken from the start)",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the campaign as JSON instead of the text report",
-    )
-    _add_robustness_flags(
-        p, packet_timeout_default=800, max_retries_default=2
-    )
-    _add_selection_flags(p)
-    _add_backend_flag(p)
-    _add_runner_flags(p)
+    _add_json_flag(p, "the campaign")
+    add_runner_flags(p)
 
     p = sub.add_parser(
         "selection",
@@ -882,32 +729,24 @@ def build_parser() -> argparse.ArgumentParser:
         "patterns, and a fault plan (docs/SELECTION.md)",
     )
     p.add_argument("--topology", default="mesh:16x16")
-    p.add_argument(
-        "--algorithms",
-        default=",".join(DEFAULT_COMPARE_ALGORITHMS),
-        help="comma-separated routing algorithms to compare under",
+    _add_list_flag(
+        p, "--algorithms", str, DEFAULT_COMPARE_ALGORITHMS, "routing algorithms"
     )
-    p.add_argument(
-        "--patterns",
-        default=",".join(DEFAULT_COMPARE_PATTERNS),
-        help="comma-separated traffic patterns",
+    _add_list_flag(p, "--patterns", str, DEFAULT_COMPARE_PATTERNS, "traffic patterns")
+    _add_list_flag(
+        p, "--policies", str, DEFAULT_POLICIES, "policies (xy is the baseline)"
     )
-    p.add_argument(
-        "--policies",
-        default=",".join(DEFAULT_POLICIES),
-        help="comma-separated selection policies (xy is the baseline)",
+    _add_list_flag(
+        p, "--loads", float, DEFAULT_COMPARE_LOADS, "offered loads (flits/us/node)"
     )
-    p.add_argument(
-        "--loads",
-        default="0.6,1.2,2.0",
-        help="comma-separated offered loads (flits/us/node)",
+    _add_config_flags(
+        p,
+        comparison_config(),
+        "--warmup --cycles --seed --selection-threshold --backend",
     )
-    p.add_argument("--warmup", type=int, default=800)
-    p.add_argument("--cycles", type=int, default=3_000)
-    p.add_argument("--seed", type=int, default=1, help="simulation seed")
     p.add_argument(
         "--fault-links",
-        type=_non_negative_int,
+        type=_int_at_least(0),
         default=4,
         help="also run every cell against this many dead links "
         "(0 skips the faulted half)",
@@ -918,65 +757,37 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed the shared fault plan derives from",
     )
-    p.add_argument(
-        "--selection-threshold",
-        type=_non_negative_int,
-        default=2,
-        help="downstream occupancy at which the 'threshold' policy "
-        "reroutes",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as JSON instead of the text report",
-    )
-    _add_backend_flag(p)
-    _add_runner_flags(p)
+    _add_json_flag(p, "the comparison")
+    add_runner_flags(p)
 
     p = sub.add_parser(
         "saturation",
         help="batched bisection search for each (algorithm x pattern) "
         "pair's maximum sustainable load",
     )
+    p.add_argument("--topology", default="mesh:16x16")
+    _add_list_flag(
+        p, "--algorithms", str, DEFAULT_ALGORITHMS, "routing algorithms to search"
+    )
+    _add_list_flag(p, "--patterns", str, ("uniform",), "traffic patterns")
     p.add_argument(
-        "--topology", default="mesh:16x16"
+        "--low",
+        type=float,
+        default=0.0,
+        help="known-sustainable lower bound (flits/us/node)",
     )
     p.add_argument(
-        "--algorithms",
-        default=",".join(DEFAULT_ALGORITHMS),
-        help="comma-separated routing algorithms to search",
+        "--high", type=float, default=8.0, help="assumed-unsustainable upper bound"
     )
-    p.add_argument(
-        "--patterns",
-        default="uniform",
-        help="comma-separated traffic patterns",
-    )
-    p.add_argument("--low", type=float, default=0.0,
-                   help="known-sustainable lower bound (flits/us/node)")
-    p.add_argument("--high", type=float, default=8.0,
-                   help="assumed-unsustainable upper bound")
     p.add_argument(
         "--iterations",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=6,
         help="bisection probes per pair (resolution (high-low)/2**n)",
     )
-    p.add_argument("--warmup", type=int, default=2_000)
-    p.add_argument("--cycles", type=int, default=8_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer-depth", type=int, default=1)
-    p.add_argument(
-        "--vc", type=int, default=1, help="virtual channels per link"
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the saturation points as JSON instead of the table",
-    )
-    _add_robustness_flags(p)
-    _add_selection_flags(p)
-    _add_backend_flag(p)
-    _add_runner_flags(p)
+    _add_config_flags(p, SimulationConfig(), f"{_RUN} {_KNOBS}")
+    _add_json_flag(p, "the saturation points")
+    add_runner_flags(p)
 
     p = sub.add_parser(
         "bench",
@@ -984,17 +795,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(docs/PERFORMANCE.md); timing is bench/run.py",
     )
     p.add_argument(
-        "--quick", action="store_true",
-        help="run only the quick subset of points",
+        "--quick", action="store_true", help="run only the quick subset of points"
     )
     p.add_argument(
-        "--backend", choices=("event", "array", "both"), default="event",
+        "--backend",
+        choices=("event", "array", "both"),
+        default="event",
         help="engine(s) to pin; array/both need numpy and include the "
         "batched seed sweeps (default event)",
     )
-    p.add_argument("--out", default=None, help="write the JSON ledger here")
+    p.add_argument("--out", help="write the JSON ledger here")
     p.add_argument(
-        "--check-against", default=None,
+        "--check-against",
         help="committed ledger every pin must equal exactly (exit 1 on a "
         "changed, missing, or orphaned pin)",
     )
@@ -1002,84 +814,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_robustness_flags(
-    p: argparse.ArgumentParser,
-    packet_timeout_default: int = 0,
-    max_retries_default: int = 0,
+def _add_config_flags(
+    p: argparse.ArgumentParser, base: SimulationConfig, flags: str
 ) -> None:
-    """The watchdog/retry knobs shared by simulate/sweep/figure/faults.
+    """Expose the ``CONFIG_FLAGS`` rows named in ``flags`` as overrides of
+    ``base``.  Defaults are suppressed, so ``args`` holds only the flags
+    given; :func:`_config` applies them to ``base``."""
+    p.set_defaults(base=base)
+    exposed = flags.split()
+    for flag, field, text in CONFIG_FLAGS:
+        if flag in exposed:
+            default = getattr(base, field)
+            p.add_argument(
+                flag,
+                dest=field,
+                type=type(default),
+                choices=_CHOICES.get(field),
+                default=argparse.SUPPRESS,
+                help=f"{text} (default {default})",
+            )
 
-    Validation lives in the argparse types: non-positive
-    ``--deadlock-threshold`` or backoff values are rejected with a clear
-    error instead of surfacing as a config ValueError deep in a worker.
-    """
+
+def _add_profile_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--deadlock-threshold",
-        type=_positive_int,
-        default=5_000,
-        help="cycles of global silence before declaring deadlock",
-    )
-    p.add_argument(
-        "--packet-timeout",
-        type=_non_negative_int,
-        default=packet_timeout_default,
-        help="per-packet stall watchdog in cycles (0 disables)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=_non_negative_int,
-        default=max_retries_default,
-        help="source retries after a drop (0 disables)",
-    )
-    p.add_argument(
-        "--retry-backoff-base",
-        type=_positive_int,
-        default=32,
-        help="cycles before the first retry (doubles per attempt)",
-    )
-    p.add_argument(
-        "--retry-backoff-cap",
-        type=_positive_int,
-        default=2_048,
-        help="upper bound on the retry backoff delay",
+        "--profile",
+        action="store_true",
+        help="time the engine's hot phases and print the report",
     )
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """The engine-backend selector shared by the simulation commands.
-
-    Both backends are bit-identical (docs/SIMULATOR.md); ``array``
-    requires the optional numpy extra and shines on batched sweeps.
-    """
+def _add_json_flag(p: argparse.ArgumentParser, what: str) -> None:
     p.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="event",
-        help="engine backend (default: event; array requires numpy)",
+        "--json", action="store_true", help=f"emit {what} as JSON instead of text"
     )
 
 
-def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    """The output-selection knobs shared by simulate/sweep/trace/figure/
-    faults (docs/SELECTION.md).  ``choices`` makes argparse reject an
-    unknown policy name with the valid list."""
-    p.add_argument(
-        "--selection",
-        default="xy",
-        choices=output_policy_names(),
-        help="output-selection policy among the free legal candidates "
-        "(default xy, the paper's rule)",
-    )
-    p.add_argument(
-        "--selection-threshold",
-        type=_non_negative_int,
-        default=2,
-        help="downstream occupancy at which the 'threshold' policy "
-        "reroutes (other policies ignore it)",
-    )
-
-
-def _add_runner_flags(p: argparse.ArgumentParser) -> None:
+def add_runner_flags(p: argparse.ArgumentParser) -> None:
+    """The runner and supervision flags of every batch command (and of
+    ``scripts/collect_experiments.py``); :func:`make_runner` reads them."""
     p.add_argument(
         "--jobs",
         type=int,
@@ -1094,7 +866,6 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--cache-dir",
-        default=None,
         help="cache location (default $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     p.add_argument(
@@ -1104,8 +875,7 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--point-timeout",
-        type=_positive_float,
-        default=None,
+        type=float,
         metavar="SECONDS",
         help="wall-clock budget per operating point; a worker past it is "
         "killed and the point retried or recorded as a timeout failure "
@@ -1113,16 +883,14 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-point-retries",
-        type=_non_negative_int,
+        type=int,
         default=0,
         help="re-dispatch attempts after a point crashes, hangs, or "
         "raises, with exponential backoff (default 0)",
     )
     p.add_argument(
         "--keep-going",
-        dest="keep_going",
         action="store_true",
-        default=False,
         help="record permanently failed points in a failure manifest and "
         "finish the batch (exit code 3 if any failed)",
     )
@@ -1134,7 +902,6 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--journal",
-        default=None,
         metavar="PATH",
         help="JSONL campaign journal checkpointing each completed point "
         "(fsync'd per line, so SIGKILL loses nothing journaled)",
@@ -1147,7 +914,6 @@ def _add_runner_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--failure-manifest",
-        default=None,
         metavar="PATH",
         help="also write permanently failed points to this JSONL file",
     )
@@ -1169,8 +935,13 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except (KeyError, ValueError) as exc:
+        # A bad name, spec or value: a usage error, never a traceback.
+        parser.error(f"{args.command}: {exc.args[0] if exc.args else exc}")
 
 
 if __name__ == "__main__":

@@ -4,33 +4,39 @@ import json
 
 import pytest
 
-from repro.cli import main, make_pattern, parse_topology
+from repro.analysis.runner import make_pattern, parse_topology_spec
+from repro.cli import main
 from repro.topology import Hypercube, KAryNCube, Mesh2D
 
 
 class TestParsers:
+    """The CLI parses specs with the runner's functions; a bad spec or
+    name is a usage error."""
+
     def test_mesh_spec(self):
-        topo = parse_topology("mesh:5x3")
+        topo = parse_topology_spec("mesh:5x3")
         assert isinstance(topo, Mesh2D)
         assert topo.dims == (5, 3)
 
     def test_mesh_3d_spec(self):
-        assert parse_topology("mesh:3x3x3").n_dims == 3
+        assert parse_topology_spec("mesh:3x3x3").n_dims == 3
 
     def test_cube_spec(self):
-        topo = parse_topology("cube:6")
+        topo = parse_topology_spec("cube:6")
         assert isinstance(topo, Hypercube)
         assert topo.order == 6
 
     def test_torus_spec(self):
-        topo = parse_topology("torus:8x2")
+        topo = parse_topology_spec("torus:8x2")
         assert isinstance(topo, KAryNCube)
         assert topo.k == 8 and topo.n_dims == 2
 
-    def test_bad_specs_exit(self):
+    def test_bad_specs_exit(self, capsys):
         for bad in ("mesh", "ring:5", "mesh:ax2", "cube:"):
-            with pytest.raises(SystemExit):
-                parse_topology(bad)
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "xy", "--topology", bad])
+            assert excinfo.value.code == 2
+            assert "bad topology spec" in capsys.readouterr().err
 
     def test_pattern_transpose_dispatches_on_topology(self):
         mesh_pat = make_pattern("transpose", Mesh2D(4, 4))
@@ -38,9 +44,11 @@ class TestParsers:
         assert type(mesh_pat).__name__ == "MeshTransposePattern"
         assert type(cube_pat).__name__ == "HypercubeTransposePattern"
 
-    def test_unknown_pattern_exits(self):
-        with pytest.raises(SystemExit):
-            make_pattern("nope", Mesh2D(4, 4))
+    def test_unknown_pattern_exits(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "xy", "--topology", "mesh:4x4", "--pattern", "nope"])
+        assert excinfo.value.code == 2
+        assert "unknown pattern 'nope'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -209,6 +217,26 @@ class TestCommands:
         assert "fig13" in out
         assert seen["runner"].jobs == 2
         assert seen["runner"].cache is None
+
+    def test_figure_applies_every_config_flag(self, capsys, monkeypatch):
+        from repro.analysis.sweep import SweepSeries
+        import repro.cli as cli
+
+        seen = {}
+
+        def fake_harness(preset, progress=None, runner=None):
+            seen["config"] = preset.config()
+            return [SweepSeries("xy", "uniform", [])]
+
+        monkeypatch.setitem(cli.FIGURE_HARNESSES, "fig13", fake_harness)
+        argv = ["figure", "13", "--no-cache", "--max-retries", "2"]
+        argv += ["--retry-backoff-base", "64", "--retry-backoff-cap", "128"]
+        assert main(argv) == 0
+        config = seen["config"]
+        assert config.max_retries == 2
+        assert config.retry_backoff_base == 64
+        assert config.retry_backoff_cap == 128
+        assert config.warmup_cycles == 1_500  # the preset's window stays
 
     def test_figure_preset_full(self, capsys, monkeypatch):
         from repro.analysis import FULL
@@ -468,8 +496,10 @@ class TestSelectionCommand:
         argv[argv.index("xy,max-credits")] = "xy,mystery"
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
-        assert "mystery" in str(excinfo.value)
-        assert "round-robin" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "mystery" in err
+        assert "round-robin" in err
 
     def test_bad_loads_exits(self):
         argv = list(self.TINY)
