@@ -575,7 +575,9 @@ class CampaignJournal:
     one already journaled.
 
     Opened with ``resume=True`` the journal loads the set of completed
-    keys (tolerating a torn final line from a previous hard kill) and
+    keys (skipping, and counting in :attr:`torn_lines`, a torn final
+    line from a previous hard kill or any line that is not a JSON
+    object) and
     appends to the same file; without ``resume`` an existing file is
     truncated and the campaign starts clean.
     """
@@ -611,7 +613,22 @@ class CampaignJournal:
             return fh.read(1) == b"\n"
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        for record in self._records(self.path):
+            if record is None:
+                # A SIGKILL can tear the final line mid-write; the
+                # point it described was not durably completed.
+                self.torn_lines += 1
+            elif record.get("kind") == "point":
+                key = record.get("key")
+                if isinstance(key, str):
+                    self._done.add(key)
+
+    @staticmethod
+    def _records(path: os.PathLike) -> Iterator[Optional[Dict[str, object]]]:
+        """Each non-blank line's record, or ``None`` for a line that is
+        not a JSON object (torn, garbage, or a bare ``null``/list/number
+        that no writer of this class produces)."""
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -619,14 +636,8 @@ class CampaignJournal:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
-                    # A SIGKILL can tear the final line mid-write; the
-                    # point it described was not durably completed.
-                    self.torn_lines += 1
-                    continue
-                if record.get("kind") == "point":
-                    key = record.get("key")
-                    if isinstance(key, str):
-                        self._done.add(key)
+                    record = None
+                yield record if isinstance(record, dict) else None
 
     def _append(self, record: Dict[str, object]) -> None:
         self._fh.write(json.dumps(record, sort_keys=True, default=str))
@@ -682,13 +693,7 @@ class CampaignJournal:
 
     @staticmethod
     def read(path: os.PathLike) -> Iterator[Dict[str, object]]:
-        """Yield every intact record in a journal file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    continue
+        """Yield every intact record (a JSON object) in a journal file."""
+        for record in CampaignJournal._records(path):
+            if record is not None:
+                yield record

@@ -278,6 +278,19 @@ class TestCampaignJournal:
         assert resumed.done_keys == {"aa", "bb"}
         resumed.close()
 
+    def test_non_object_lines_are_skipped_like_torn_ones(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with CampaignJournal(path) as journal:
+            journal.record_point("aa")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('null\n[1,2]\n5\n"point"\n{"kind": "point", "key": "bb"}\n')
+        journal = CampaignJournal(path, resume=True)
+        assert journal.done_keys == {"aa", "bb"}
+        assert journal.torn_lines == 4
+        journal.close()
+        records = list(CampaignJournal.read(path))
+        assert [r["kind"] for r in records] == ["campaign", "point", "point"]
+
     def test_without_resume_truncates(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:

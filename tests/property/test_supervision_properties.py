@@ -4,14 +4,17 @@ Over arbitrary per-point misbehaviour scripts and retry budgets, a
 ``keep_going`` batch must account for every spec exactly once — either a
 spec-ordered result or a manifest entry with the cause the script
 predicts — and journal-resume over any completed prefix must re-execute
-exactly the complement.
+exactly the complement — also when the journal was cut at any byte or
+had garbage or non-object lines inserted.
 """
 
 import os
 import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +168,70 @@ class TestJournalResume:
                 if r["kind"] == "point"
             }
             assert final == {s.cache_key() for s in specs}
+
+
+# Lines a damaged journal may hold: valid JSON that is not an object,
+# and arbitrary bytes (no line breaks, so each stays one line).
+junk_lines = st.sampled_from(
+    [b"null", b"[1,2]", b"5", b'"point"', b"true", b"{", b"{}", b"\xff\xfe"]
+) | st.binary(max_size=40).filter(lambda b: b"\n" not in b and b"\r" not in b)
+
+
+@pytest.mark.chaos
+class TestDamagedJournal:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_damaged_journal_resumes_exactly_the_complement(self, n, data):
+        specs = [ScriptSpec(i) for i in range(n)]
+        intact = {spec.cache_key() for spec in specs}
+        with tempfile.TemporaryDirectory() as tmp:
+            cache_dir = os.path.join(tmp, "cache")
+            journal_path = Path(tmp) / "journal.jsonl"
+            cache = ResultCache(cache_dir)
+            with CampaignJournal(journal_path) as journal:
+                for spec in specs:
+                    cache.put(spec, spec.execute())
+                    journal.record_point(spec.cache_key())
+
+            blob = journal_path.read_bytes()
+            if data.draw(st.booleans(), label="cut"):
+                # A fraction, not a byte offset: the header's timestamp
+                # makes the length differ between runs.
+                at = data.draw(st.floats(0, 1), label="at fraction")
+                blob = blob[: round(at * len(blob))]
+                damaged = 1
+            else:
+                lines = blob.split(b"\n")
+                damaged = data.draw(st.integers(1, 3), label="inserted")
+                for _ in range(damaged):
+                    at = data.draw(st.integers(0, len(lines)), label="at")
+                    lines.insert(at, data.draw(junk_lines, label="junk"))
+                blob = b"\n".join(lines)
+            journal_path.write_bytes(blob)
+
+            journal = CampaignJournal(journal_path, resume=True)
+            done, torn = journal.done_keys, journal.torn_lines
+            journal.close()
+            assert done <= intact
+            assert torn <= damaged
+            assert all(
+                isinstance(r, dict) for r in CampaignJournal.read(journal_path)
+            )
+
+            # force=True: only journaled points may be served from the
+            # (complete) cache; everything else must execute.
+            resumed = ParallelSweepRunner(
+                jobs=2,
+                cache=ResultCache(cache_dir),
+                force=True,
+                journal=journal_path,
+                resume=True,
+            )
+            results = resumed.run_points(specs)
+            resumed.close()
+            assert resumed.stats.executed == n - len(done)
+            assert resumed.stats.cached == len(done)
+            assert results == [("result", i) for i in range(n)]
+            final = CampaignJournal(journal_path, resume=True)
+            assert final.done_keys == intact
+            final.close()
