@@ -8,7 +8,6 @@ from .ndim import (
     AllButOnePositiveLast,
     NegativeFirst,
     NorthLast,
-    TwoPhaseRouting,
     WestFirst,
 )
 from .paths import (
@@ -67,7 +66,6 @@ __all__ = [
     "SelectionPolicy",
     "ThresholdReroute",
     "TurnRestrictedMinimal",
-    "TwoPhaseRouting",
     "WestFirst",
     "XY",
     "XYPreference",

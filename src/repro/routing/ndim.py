@@ -1,173 +1,64 @@
-"""Partially adaptive turn-model algorithms for n-dimensional meshes
-(Section 4.1) and their 2D specialisations (Section 3).
+"""The paper's partially adaptive mesh algorithms: west-first and
+north-last (Section 3), negative-first, ABONF and ABOPL (Section 4.1).
 
-All three share one *two-phase* shape: a packet first routes adaptively
-among a distinguished set of directions (phase 1), and only once no
-phase-1 direction is productive does it route adaptively among the rest.
-The prohibition sets behind each phase split are built by
-:class:`repro.core.turn_model.TurnModel`; the phase rule below is the
-minimal-routing reading of "use only the allowed turns":
-
-* **negative-first** — phase 1 is every negative direction;
-* **all-but-one-negative-first (ABONF)** — phase 1 is the negative
-  directions of dimensions ``0 .. n-2`` (*west-first* when n = 2);
-* **all-but-one-positive-last (ABOPL)** — phase 1 is every negative
-  direction plus the positive direction of dimension 0 (*north-last* when
-  n = 2).
+Each is :class:`~.turn_restricted.TurnRestrictedMinimal` over the set
+:class:`repro.core.turn_model.TurnModel` builds for it.  Read as phases,
+a packet routes adaptively among a first set of directions until none is
+productive, then among the rest.  The first set is every negative
+direction for negative-first; the negative directions of dimensions
+``0 .. n-2`` for ABONF (*west-first* when n = 2); every negative
+direction plus ``+d0`` for ABOPL (*north-last* when n = 2).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
-
 from ..core.turn_model import TurnModel
-from ..topology.base import Direction, NEGATIVE, POSITIVE, Topology
-from .base import RoutingAlgorithm, require_mesh_dims, sort_canonical
+from ..topology.base import Topology
+from .base import require_mesh_dims
+from .turn_restricted import TurnRestrictedMinimal
 
 
-class TwoPhaseRouting(RoutingAlgorithm):
-    """Minimal two-phase turn-model routing.
-
-    ``candidates`` returns the productive phase-1 directions while any
-    exist, then the remaining productive directions.  ``escape_candidates``
-    offers the nonminimal moves the prohibition set allows (used only by
-    nonminimal simulations; Section 6 routes minimally).
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        phase1: FrozenSet[Direction],
-        name: str,
-        model: TurnModel,
-    ) -> None:
-        super().__init__(topology)
-        self._phase1 = frozenset(phase1)
-        self._name = name
-        self._model = model
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def phase1_directions(self) -> FrozenSet[Direction]:
-        return self._phase1
-
-    def candidates(
-        self,
-        current: int,
-        dest: int,
-        in_direction: Optional[Direction] = None,
-    ) -> List[Direction]:
-        productive = self.topology.productive_directions(current, dest)
-        first = [d for d in productive if d in self._phase1]
-        chosen = first if first else productive
-        if in_direction is not None:
-            # A packet that followed this algorithm from injection never
-            # arrives heading somewhere its next move cannot legally
-            # follow; the filter makes the function honest on the
-            # unreachable states too (it then reports a dead end instead
-            # of proposing a prohibited turn).
-            chosen = [
-                d for d in chosen if self._model.is_allowed(in_direction, d)
-            ]
-        return sort_canonical(chosen)
-
-    def _completable(self, node: int, dest: int, heading: Direction) -> bool:
-        """Whether minimal routing can still finish from ``node`` when the
-        packet arrives travelling ``heading``.
-
-        All three paper models prohibit exactly the turns from a phase-2
-        direction into phase 1 (plus reversals), so the reachable-state
-        invariant is: while productive phase-1 work remains the heading
-        must itself be a phase-1 direction, and the remaining work must
-        not consist solely of the heading's reversal.
-        """
-        productive = self.topology.productive_directions(node, dest)
-        if not productive:
-            return True
-        in_phase1 = [d for d in productive if d in self._phase1]
-        if in_phase1:
-            if heading not in self._phase1:
-                return False
-            if in_phase1 == [heading.opposite]:
-                return False
-            return True
-        return productive != [heading.opposite]
-
-    def escape_candidates(
-        self,
-        current: int,
-        dest: int,
-        in_direction: Optional[Direction] = None,
-    ) -> List[Direction]:
-        productive = set(self.topology.productive_directions(current, dest))
-        out: List[Direction] = []
-        for direction in self.topology.directions():
-            if direction in productive:
-                continue
-            if in_direction is not None and not self._model.is_allowed(
-                in_direction, direction
-            ):
-                continue
-            nbr = self.topology.neighbor(current, direction)
-            if nbr is None:
-                continue
-            # Never escape into a state the turn model cannot route out
-            # of — e.g. an eastward detour under west-first would create
-            # westward work that only a prohibited turn could reach.
-            if not self._completable(nbr, dest, direction):
-                continue
-            out.append(direction)
-        return sort_canonical(out)
-
-    def turn_model(self) -> TurnModel:
-        return self._model
-
-
-class NegativeFirst(TwoPhaseRouting):
+class NegativeFirst(TurnRestrictedMinimal):
     """Negative-first routing for n-dimensional meshes (and 2D meshes)."""
 
     def __init__(self, topology: Topology) -> None:
-        n = topology.n_dims
-        phase1 = frozenset(Direction(d, NEGATIVE) for d in range(n))
-        super().__init__(
-            topology, phase1, "negative-first", TurnModel.negative_first(n)
-        )
+        super().__init__(topology, TurnModel.negative_first(topology.n_dims))
+
+    @property
+    def name(self) -> str:
+        return "negative-first"
 
 
-class AllButOneNegativeFirst(TwoPhaseRouting):
+class AllButOneNegativeFirst(TurnRestrictedMinimal):
     """ABONF: negative directions of all dimensions but the last go first.
-
-    The 2D special case is the *west-first* algorithm (phase 1 = west).
-    """
+    The 2D special case is *west-first* (phase 1 = west)."""
 
     def __init__(self, topology: Topology) -> None:
-        n = topology.n_dims
-        if n < 2:
+        super().__init__(topology, TurnModel.west_first(topology.n_dims))
+
+    def _validate_topology(self) -> None:
+        if self.topology.n_dims < 2:
             raise ValueError("ABONF needs at least two dimensions")
-        phase1 = frozenset(Direction(d, NEGATIVE) for d in range(n - 1))
-        name = "west-first" if n == 2 else "abonf"
-        super().__init__(topology, phase1, name, TurnModel.west_first(n))
+
+    @property
+    def name(self) -> str:
+        return "west-first" if self.topology.n_dims == 2 else "abonf"
 
 
-class AllButOnePositiveLast(TwoPhaseRouting):
+class AllButOnePositiveLast(TurnRestrictedMinimal):
     """ABOPL: every positive direction of dimensions ``1..n-1`` goes last.
-
-    The 2D special case is the *north-last* algorithm (phase 2 = north).
-    """
+    The 2D special case is *north-last* (phase 2 = north)."""
 
     def __init__(self, topology: Topology) -> None:
-        n = topology.n_dims
-        if n < 2:
+        super().__init__(topology, TurnModel.north_last(topology.n_dims))
+
+    def _validate_topology(self) -> None:
+        if self.topology.n_dims < 2:
             raise ValueError("ABOPL needs at least two dimensions")
-        phase1 = frozenset(
-            [Direction(d, NEGATIVE) for d in range(n)]
-            + [Direction(0, POSITIVE)]
-        )
-        name = "north-last" if n == 2 else "abopl"
-        super().__init__(topology, phase1, name, TurnModel.north_last(n))
+
+    @property
+    def name(self) -> str:
+        return "north-last" if self.topology.n_dims == 2 else "abopl"
 
 
 class WestFirst(AllButOneNegativeFirst):

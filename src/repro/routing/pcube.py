@@ -1,16 +1,13 @@
 """p-cube routing for hypercubes (Section 5, Figures 11 and 12).
 
-The hypercube special case of negative-first has a compact bitwise form.
-With ``C`` the current address and ``D`` the destination:
-
-* phase 1 routes along any dimension ``i`` with ``c_i = 1, d_i = 0``
-  (clearing a 1 — the *negative* direction);
-* once no such dimension remains, phase 2 routes along any dimension with
-  ``c_i = 0, d_i = 1`` (setting a 0 — the *positive* direction).
-
-The nonminimal variant (Figure 12's discussion) additionally lets phase 1
-route along dimensions with ``c_i = 1, d_i = 1``: still a negative move,
-at the cost of having to set the bit again later.
+p-cube is negative-first on the binary n-cube: with ``C`` the current
+address and ``D`` the destination, Figure 11 routes along any dimension
+with ``c_i = 1, d_i = 0`` (clearing a 1, the *negative* direction), and
+once none remains along any with ``c_i = 0, d_i = 1``.  Both classes are
+:class:`~.turn_restricted.TurnRestrictedMinimal` over the negative-first
+set plus the n reversals ``-d_i -> +d_i``: a packet that cleared a bit
+it must set again (only after a Figure 12 move) may set it at once, as
+the bitwise rule does and negative-first's mesh form does not.
 """
 
 from __future__ import annotations
@@ -18,58 +15,44 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.turn_model import TurnModel
+from ..core.turns import Turn
 from ..topology.base import Direction, NEGATIVE, POSITIVE
 from ..topology.hypercube import Hypercube
-from .base import RoutingAlgorithm, sort_canonical
+from .base import RoutingAlgorithm
+from .turn_restricted import TurnRestrictedMinimal
 
 
-def _dims_of(mask: int, n: int) -> List[int]:
-    return [i for i in range(n) if (mask >> i) & 1]
-
-
-class PCube(RoutingAlgorithm):
+class PCube(TurnRestrictedMinimal):
     """Minimal p-cube routing (Figure 11)."""
 
     def __init__(self, topology: Hypercube) -> None:
-        if not isinstance(topology, Hypercube) and set(topology.dims) != {2}:
+        n = topology.n_dims
+        reversals = [
+            Turn(Direction(i, NEGATIVE), Direction(i, POSITIVE))
+            for i in range(n)
+        ]
+        model = TurnModel.from_prohibited(
+            "p-cube", n, TurnModel.negative_first(n).prohibited, reversals
+        )
+        super().__init__(topology, model)
+
+    def _validate_topology(self) -> None:
+        if set(self.topology.dims) != {2}:
             raise ValueError("p-cube routing requires a binary hypercube")
-        super().__init__(topology)
-        self._mask = (1 << topology.n_dims) - 1
 
     @property
     def name(self) -> str:
         return "p-cube"
 
-    def candidates(
-        self,
-        current: int,
-        dest: int,
-        in_direction: Optional[Direction] = None,
-    ) -> List[Direction]:
-        if current == dest:
-            return []
-        r = current & ~dest & self._mask  # step 2: R = C AND NOT D
-        if r:
-            if in_direction is not None and in_direction.is_positive:
-                # Unreachable under p-cube (phase-1 work is never pending
-                # after a positive hop); report a dead end rather than a
-                # prohibited positive-to-negative turn.
-                return []
-            return [Direction(i, NEGATIVE) for i in _dims_of(r, self.topology.n_dims)]
-        r = ~current & dest & self._mask  # step 3: R = NOT C AND D
-        return [Direction(i, POSITIVE) for i in _dims_of(r, self.topology.n_dims)]
-
-    def turn_model(self) -> TurnModel:
-        return TurnModel.negative_first(self.topology.n_dims)
+    # Figure 11 routes minimally: no escapes.
+    escape_candidates = RoutingAlgorithm.escape_candidates
 
 
 class NonminimalPCube(PCube):
-    """p-cube with the nonminimal phase-1 extension.
-
-    ``escape_candidates`` returns the dimensions with ``c_i = 1, d_i = 1``
-    while phase 1 is active: legal negative moves that leave the shortest
-    path but increase adaptiveness and fault tolerance.
-    """
+    """p-cube with Figure 12's nonminimal phase-1 extension: while some
+    ``c_i = 1, d_i = 0`` remains, escape along dimensions with ``c_i =
+    d_i = 1`` (negative moves off the shortest path, for adaptiveness and
+    fault tolerance) — under p-cube's set, exactly the generic escapes."""
 
     @property
     def name(self) -> str:
@@ -85,16 +68,8 @@ class NonminimalPCube(PCube):
         dest: int,
         in_direction: Optional[Direction] = None,
     ) -> List[Direction]:
-        if current == dest:
+        if not current & ~dest:
             return []
-        if in_direction is not None and in_direction.is_positive:
-            # A positive-to-negative turn is prohibited, so the nonminimal
-            # extension is only reachable while still travelling phase 1.
-            return []
-        phase1 = current & ~dest & self._mask
-        if not phase1:
-            return []
-        shared = current & dest & self._mask
-        return sort_canonical(
-            [Direction(i, NEGATIVE) for i in _dims_of(shared, self.topology.n_dims)]
+        return TurnRestrictedMinimal.escape_candidates(
+            self, current, dest, in_direction
         )

@@ -1,36 +1,37 @@
-"""Maximal minimal-adaptive routing under an arbitrary turn model.
+"""Maximal minimal-adaptive routing under an arbitrary turn model — the
+one construction behind every turn-model algorithm here.
 
-Given any prohibition set, the *maximally adaptive* minimal routing
-function offers every productive direction from which the rest of the
-journey can still be completed without a prohibited turn.  Completability
-is decided by a memoised search over ``(node, heading)`` states following
-productive moves only — a DAG, since distance strictly decreases.
+It offers every productive direction from which the journey can still
+finish without a prohibited turn.  Over the paper's sets it *is*
+west-first, north-last, negative-first, ABONF, ABOPL (:mod:`.ndim`) and
+p-cube (:mod:`.pcube`); over a bad set (Figure 4) or none (Figure 1) the
+simulator can drive it into real deadlock.
 
-Two uses:
-
-* with the paper's prohibition sets it reproduces the phase-structured
-  algorithms exactly (a property the test suite checks), supporting the
-  paper's claim that they are maximally adaptive;
-* with a *bad* prohibition set (Figure 4) or an empty one (Figure 1) it
-  yields a well-defined routing function that the simulator can drive
-  into real deadlock, demonstrating why the turn model matters.
+Without wraparound channels minimal paths stay inside their endpoints'
+bounding box, so finishing depends only on the heading and the offset to
+the destination.  The offsets are packed into one int (a digit of
+``2k - 1`` values per dimension), a hop moves it by one stride, and the
+search is memoised per packed offset without touching the topology.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..core.turn_model import TurnModel
 from ..topology.base import Direction, Topology
-from .base import RoutingAlgorithm, sort_canonical
+from .base import RoutingAlgorithm
+from .table import network_index
 
 
 class TurnRestrictedMinimal(RoutingAlgorithm):
     """Minimal adaptive routing confined to a turn model's allowed turns.
 
-    Deadlock freedom depends entirely on the supplied model: safe
-    prohibition sets give deadlock-free routing, unsafe ones (like the
-    Figure 4 pair) do not — which is the point.
+    ``escape_candidates`` is the generic nonminimal extension: every
+    non-productive, turn-legal move into a state that still has a minimal
+    candidate.  Deadlock freedom depends entirely on the supplied model:
+    safe prohibition sets give deadlock-free routing, unsafe ones (like
+    the Figure 4 pair) do not — which is the point.
     """
 
     def __init__(self, topology: Topology, model: TurnModel) -> None:
@@ -40,13 +41,66 @@ class TurnRestrictedMinimal(RoutingAlgorithm):
                 f"model covers {model.n_dims} dims, topology has "
                 f"{topology.n_dims}"
             )
+        if any(c.wraparound for c in network_index(topology).channels):
+            raise ValueError(
+                f"turn-model routing is not deadlock free across the "
+                f"wraparound channels of {topology!r}; use "
+                f"negative-first+wrap1, negative-first-torus or dateline"
+            )
         self.model = model
-        # (node, heading, dest) -> completable; heading None = injection.
-        self._memo: Dict[Tuple[int, Optional[Direction], int], bool] = {}
+        # Direction i is dimension i // 2, negative when i is even.  Bit
+        # i of _after[h] allows direction i after heading h; the last
+        # entry is injection (no heading).
+        self._directions = directions = topology.directions()
+        self._index = {d: i for i, d in enumerate((*directions, None))}
+        self._after = [
+            sum(1 << i for i, to in enumerate(directions)
+                if model.is_allowed(frm, to))
+            for frm in directions
+        ] + [(1 << len(directions)) - 1]
+        # Offset digit of dimension d: (dst_d - cur_d + k_d - 1) at
+        # stride_d; a node's position is its coordinates at those strides.
+        self._radices = [2 * k - 1 for k in topology.dims]
+        strides = [1]
+        for radix in self._radices[:-1]:
+            strides.append(strides[-1] * radix)
+        self._home = sum(s * (k - 1) for s, k in zip(strides, topology.dims))
+        self._pos = [
+            sum(c * s for c, s in zip(topology.coords(node), strides))
+            for node in topology.nodes()
+        ]
+        # Moving in direction i changes the offset by -sign.
+        self._steps = [-d.sign * strides[d.dim] for d in directions]
+        # At the destination every arrival has finished.
+        self._onward_memo: Dict[int, int] = {self._home: self._after[-1]}
 
     @property
     def name(self) -> str:
         return f"turn-restricted({self.model.name})"
+
+    def _code(self, current: int, dest: int) -> int:
+        return self._pos[dest] - self._pos[current] + self._home
+
+    def _productive(self, code: int) -> Iterator[int]:
+        """Indices of the productive directions at packed offset ``code``."""
+        for dim, radix in enumerate(self._radices):
+            code, digit = divmod(code, radix)
+            bias = radix // 2
+            if digit != bias:
+                yield 2 * dim + (digit > bias)
+
+    def _onward(self, code: int) -> int:
+        """Bitmask of the productive directions at packed offset ``code``
+        after which the journey can still finish — the minimal candidates
+        before the heading filter."""
+        moves = self._onward_memo.get(code)
+        if moves is None:
+            moves = 0
+            for i in self._productive(code):
+                if self._onward(code + self._steps[i]) & self._after[i]:
+                    moves |= 1 << i
+            self._onward_memo[code] = moves
+        return moves
 
     def candidates(
         self,
@@ -54,43 +108,29 @@ class TurnRestrictedMinimal(RoutingAlgorithm):
         dest: int,
         in_direction: Optional[Direction] = None,
     ) -> List[Direction]:
-        out = []
-        for direction in self.topology.productive_directions(current, dest):
-            if in_direction is not None and not self.model.is_allowed(
-                in_direction, direction
-            ):
-                continue
-            nbr = self.topology.neighbor(current, direction)
-            if nbr is None:
-                continue
-            if self._completable(nbr, direction, dest):
-                out.append(direction)
-        return sort_canonical(out)
+        if current == dest:
+            return []
+        moves = self._onward(self._code(current, dest))
+        moves &= self._after[self._index[in_direction]]
+        return [d for i, d in enumerate(self._directions) if moves >> i & 1]
 
-    def _completable(
-        self, node: int, heading: Optional[Direction], dest: int
-    ) -> bool:
-        """Whether some minimal turn-legal path exists from this state."""
-        if node == dest:
-            return True
-        key = (node, heading, dest)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        for direction in self.topology.productive_directions(node, dest):
-            if heading is not None and not self.model.is_allowed(
-                heading, direction
-            ):
-                continue
-            nbr = self.topology.neighbor(node, direction)
-            if nbr is None:
-                continue
-            if self._completable(nbr, direction, dest):
-                result = True
-                break
-        self._memo[key] = result
-        return result
+    def escape_candidates(
+        self,
+        current: int,
+        dest: int,
+        in_direction: Optional[Direction] = None,
+    ) -> List[Direction]:
+        code = self._code(current, dest)
+        productive = set(self._productive(code))
+        legal = self._after[self._index[in_direction]]
+        # Never escape into a dead end — e.g. an eastward detour under
+        # west-first creates westward work no legal turn can reach.
+        return [
+            d for i, d in enumerate(self._directions)
+            if i not in productive and legal >> i & 1
+            and self.topology.neighbor(current, d) is not None
+            and self._onward(code + self._steps[i]) & self._after[i]
+        ]
 
     def turn_model(self) -> TurnModel:
         return self.model

@@ -18,14 +18,22 @@ from repro.topology import Direction, Hypercube, Mesh
 MESH_3D = Mesh((4, 4, 4))
 
 
+def assert_phase_rule(alg, phase1):
+    """Every candidate set is the productive ``phase1`` directions while
+    any exist, then every productive direction."""
+    for src in MESH_3D.nodes():
+        for dst in MESH_3D.nodes():
+            productive = set(MESH_3D.productive_directions(src, dst))
+            first = productive & phase1
+            assert set(alg.candidates(src, dst)) == (first or productive)
+
+
 class TestABONF:
     def setup_method(self):
         self.alg = AllButOneNegativeFirst(MESH_3D)
 
     def test_phase1_is_negatives_of_all_but_last_dim(self):
-        assert self.alg.phase1_directions == frozenset(
-            {Direction(0, -1), Direction(1, -1)}
-        )
+        assert_phase_rule(self.alg, {Direction(0, -1), Direction(1, -1)})
 
     def test_negative_last_dim_deferred_to_phase2(self):
         src = MESH_3D.node_at((2, 2, 2))
@@ -63,8 +71,11 @@ class TestABOPL:
         self.alg = AllButOnePositiveLast(MESH_3D)
 
     def test_phase1_includes_positive_dim0(self):
-        assert Direction(0, +1) in self.alg.phase1_directions
-        assert Direction(1, +1) not in self.alg.phase1_directions
+        assert_phase_rule(
+            self.alg,
+            {Direction(0, -1), Direction(1, -1), Direction(2, -1),
+             Direction(0, +1)},
+        )
 
     def test_positive_high_dims_deferred(self):
         src = MESH_3D.node_at((1, 1, 1))

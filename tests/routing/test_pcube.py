@@ -34,11 +34,22 @@ class TestPCubeMinimal:
         assert all(d.is_negative for d in cands)
 
     def test_equals_negative_first_on_hypercube(self):
-        """p-cube is the hypercube special case of negative-first."""
+        """p-cube is the hypercube special case of negative-first.  The
+        two differ only where a packet heading ``-d_i`` needs ``+d_i``:
+        Figure 11 sets the bit again at once, a reversal negative-first
+        prohibits.  Such states follow only a nonminimal escape.  (The
+        rows of both are pinned in test_constructed_rows.py.)"""
         nf = NegativeFirst(self.cube)
         for src in self.cube.nodes():
             for dst in self.cube.nodes():
                 assert self.alg.candidates(src, dst) == nf.candidates(src, dst)
+                for heading in self.cube.directions():
+                    ours = self.alg.candidates(src, dst, heading)
+                    theirs = nf.candidates(src, dst, heading)
+                    if ours != theirs:
+                        assert heading.is_negative
+                        assert set(ours) - set(theirs) == {heading.opposite}
+                        assert set(theirs) < set(ours)
 
     def test_delivers_minimally(self):
         rng = random.Random(2)

@@ -42,6 +42,29 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_algorithm("xy", Hypercube(4))
 
+    def test_turn_model_algorithms_reject_tori(self):
+        """Routes across wraparound channels close cycles no turn
+        prohibition breaks, so the mesh algorithms refuse a torus and
+        name the Section 4.2 and virtual-channel alternatives."""
+        alternatives = "negative-first\\+wrap1.*negative-first-torus.*dateline"
+        cases = [
+            (KAryNCube(k, 2), ("west-first", "north-last", "negative-first"))
+            for k in (3, 4, 5, 6)
+        ] + [(KAryNCube(3, 3), ("abonf", "abopl", "negative-first"))]
+        for torus, names in cases:
+            for name in names:
+                with pytest.raises(ValueError, match=alternatives):
+                    make_algorithm(name, torus)
+
+    def test_wraparound_free_topologies_still_accepted(self):
+        assert make_algorithm("negative-first", KAryNCube(2, 3)).name == (
+            "negative-first"
+        )
+        assert make_algorithm("p-cube", KAryNCube(2, 3)).name == "p-cube"
+        assert make_algorithm("abonf", Hypercube(3)).name == "abonf"
+        wrap1 = make_algorithm("negative-first+wrap1", KAryNCube(6, 2))
+        assert wrap1.name == "negative-first+wrap1"
+
     def test_mesh_suite_is_the_paper_lineup(self):
         names = [a.name for a in mesh_algorithms(Mesh2D(4, 4))]
         assert names == ["xy", "west-first", "north-last", "negative-first"]

@@ -5,40 +5,13 @@ import random
 
 import pytest
 
-from repro.core import Turn, TurnModel
-from repro.routing import (
-    NegativeFirst,
-    TurnRestrictedMinimal,
-    WestFirst,
-    walk,
-)
-from repro.topology import EAST, Mesh, Mesh2D, NORTH, WEST
+from repro.core import Turn, TurnModel, two_turn_prohibitions_2d
+from repro.routing import TurnRestrictedMinimal, walk
+from repro.topology import EAST, Mesh2D, NORTH, SOUTH, WEST
 from repro.verification import verify_algorithm
 
-
-class TestAgainstPhaseAlgorithms:
-    def test_equals_west_first_everywhere(self):
-        mesh = Mesh2D(5, 5)
-        maximal = TurnRestrictedMinimal(mesh, TurnModel.west_first())
-        reference = WestFirst(mesh)
-        for src in mesh.nodes():
-            for dst in mesh.nodes():
-                if src != dst:
-                    assert maximal.candidates(src, dst) == reference.candidates(
-                        src, dst
-                    )
-
-    def test_equals_negative_first_on_3d(self):
-        mesh = Mesh((3, 3, 3))
-        maximal = TurnRestrictedMinimal(mesh, TurnModel.negative_first(3))
-        reference = NegativeFirst(mesh)
-        rng = random.Random(0)
-        for _ in range(150):
-            src, dst = rng.randrange(27), rng.randrange(27)
-            if src != dst:
-                assert maximal.candidates(src, dst) == reference.candidates(
-                    src, dst
-                )
+# The paper's agreement with the hand-written phase algorithms is pinned
+# by recorded rows in test_constructed_rows.py.
 
 
 class TestArbitraryModels:
@@ -99,7 +72,6 @@ class TestSafetyOfSafeModels:
     def test_all_safe_two_turn_models_route_and_verify(self):
         """Every safe two-turn prohibition yields a deadlock-free,
         connected-where-possible routing function."""
-        from repro.core import two_turn_prohibitions_2d
         from repro.verification import turn_set_is_deadlock_free
 
         mesh = Mesh2D(4, 4)
@@ -117,3 +89,54 @@ class TestSafetyOfSafeModels:
                 if alg.candidates(src, dst):
                     path = walk(alg, src, dst, rng=rng)
                     assert len(path) - 1 == mesh.distance(src, dst)
+
+
+#: The four one-turn-per-cycle sets that are not deadlock free: each
+#: prohibits a turn and its mirror, leaving the complementary cycle
+#: pair intact (Section 3).  Escapes change none of these verdicts: they
+#: are the ones minimal routing alone gives.
+UNSAFE_TWO_TURN_SETS = [
+    {Turn(EAST, NORTH), Turn(NORTH, EAST)},
+    {Turn(WEST, NORTH), Turn(NORTH, WEST)},
+    {Turn(WEST, SOUTH), Turn(SOUTH, WEST)},
+    {Turn(EAST, SOUTH), Turn(SOUTH, EAST)},
+]
+
+
+class TestGenericEscapes:
+    """``escape_candidates`` on every one-turn-per-cycle 2D set."""
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_escape_contract_on_every_two_turn_set(self, k):
+        mesh = Mesh2D(k, k)
+        headings = [None, *mesh.directions()]
+        for pair in two_turn_prohibitions_2d():
+            model = TurnModel.from_prohibited("pair", 2, pair)
+            alg = TurnRestrictedMinimal(mesh, model)
+            for node in mesh.nodes():
+                for dest in mesh.nodes():
+                    productive = mesh.productive_directions(node, dest)
+                    for heading in headings:
+                        for d in alg.escape_candidates(node, dest, heading):
+                            assert d not in productive
+                            assert heading is None or model.is_allowed(
+                                heading, d
+                            )
+                            nbr = mesh.neighbor(node, d)
+                            assert nbr is not None
+                            assert alg.candidates(nbr, dest, d)
+            assert verify_algorithm(alg).deadlock_free == (
+                pair not in UNSAFE_TWO_TURN_SETS
+            ), sorted(pair)
+
+    def test_escapes_exist_and_respect_the_set(self):
+        """West-first may detour north or south around a blocked east
+        hop, but never off its westward leg: only a prohibited turn
+        could bring the packet back to heading west."""
+        mesh = Mesh2D(5, 5)
+        alg = TurnRestrictedMinimal(mesh, TurnModel.west_first())
+        src = mesh.node_xy(2, 2)
+        assert alg.escape_candidates(src, mesh.node_xy(4, 2)) == [
+            SOUTH, NORTH,
+        ]
+        assert alg.escape_candidates(src, mesh.node_xy(0, 2)) == []

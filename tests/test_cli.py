@@ -38,6 +38,13 @@ class TestParsers:
             assert excinfo.value.code == 2
             assert "bad topology spec" in capsys.readouterr().err
 
+    def test_mesh_algorithm_on_torus_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "west-first", "--topology", "torus:6x2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "wraparound" in err and "negative-first+wrap1" in err
+
     def test_pattern_transpose_dispatches_on_topology(self):
         mesh_pat = make_pattern("transpose", Mesh2D(4, 4))
         cube_pat = make_pattern("transpose", Hypercube(4))
