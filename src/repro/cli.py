@@ -408,8 +408,8 @@ def make_runner(args) -> ParallelSweepRunner:
 
 def _print_array_coverage(args, configs) -> None:
     """For the points on the array backend: print what fraction ride the
-    vectorized kernels (and why the rest demoted to the scalar-member
-    fallback), so silent fast-path loss is visible."""
+    vectorized kernels (and why the rest demoted to whole event-engine
+    runs), so silent fast-path loss is visible."""
     configs = [config for config in configs if config.backend == "array"]
     if not configs or getattr(args, "json", False):
         return

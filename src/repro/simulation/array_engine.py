@@ -38,11 +38,10 @@ do not demote either: a profiled run wraps each kernel pass of the one
 stage list (``_STAGES``) in a clock pair around unchanged state
 transitions, so it stays bit-identical.  Points outside the envelope
 (``random``/``zigzag`` selection — ``random`` draws from the RNG
-mid-arbitration — trace sinks, LUTs past the entry cap) fall back to
-driving a cycle-locked
-:class:`~repro.simulation.engine.WormholeSimulator` member — the same
-code, therefore trivially bit-identical — so the whole configuration
-space is supported and the batch API is uniform.
+mid-arbitration — trace sinks, LUTs past the entry cap) run as one
+whole :class:`~repro.simulation.engine.WormholeSimulator` run each — the
+same code, therefore trivially bit-identical — so the whole
+configuration space is supported and the batch API is uniform.
 :func:`demotion_reasons` names the gate(s) any point failed, and
 :class:`BatchSimulator` counts demotions per reason so silent fast-path
 loss is visible (``repro sweep/faults/bench --backend array`` print the
@@ -90,7 +89,7 @@ _EJECTING = 3
 _DONE = 4
 
 #: Candidate lookup tables beyond this many int32 entries are not built;
-#: the affected members fall back to the scalar path instead of paying
+#: the affected points run on the event engine instead of paying
 #: hundreds of MB per (algorithm, topology) group.
 _LUT_ENTRY_CAP = 33_554_432
 
@@ -107,8 +106,8 @@ _MB_BOTH = _MB_HI1 | 1
 #: Output-selection policies the kernels replay exactly (the LUT columns
 #: are (dim, sign)-sorted and direction-deduped, which is precisely the
 #: ``sorted(options)`` every one of these policies reduces to; none of
-#: them draws from the RNG).  ``random``/``zigzag`` stay on the scalar
-#: member path.
+#: them draws from the RNG).  ``random``/``zigzag`` points run on the
+#: event engine.
 _POLICY_CODES: Dict[str, int] = {
     "xy": 0,
     "round-robin": 1,
@@ -209,9 +208,9 @@ def vectorized_envelope(config: SimulationConfig) -> bool:
     two config gates remain: an unvectorized output-selection policy
     (``random`` draws from the RNG mid-arbitration; ``zigzag``) or
     a non-``fcfs`` input selection.  Outside the envelope the array
-    backend still accepts the point but drives it through a cycle-locked
-    event-engine member (bit-identical by construction; see the module
-    docstring and docs/SIMULATOR.md).
+    backend still accepts the point but runs it on the event engine
+    (bit-identical by construction; see the module docstring and
+    docs/SIMULATOR.md).
     """
     return not demotion_reasons(config)
 
@@ -379,8 +378,6 @@ class _FastMember:
     by refcount.
     """
 
-    fast = True
-
     def __init__(
         self, fidx: int, num_ch: int, algorithm, pattern,
         config: SimulationConfig, profiler=None,
@@ -487,30 +484,6 @@ class _FastMember:
         )
 
 
-class _ScalarMember:
-    """A batch member outside the vectorized envelope: a cycle-locked
-    event-engine simulator (the same code, therefore bit-identical)."""
-
-    fast = False
-
-    def __init__(
-        self, algorithm, pattern, config: SimulationConfig,
-        sink=None, profiler=None,
-    ) -> None:
-        self.sim = WormholeSimulator(
-            algorithm, pattern, config, sink=sink, profiler=profiler
-        )
-        self.total = config.total_cycles
-        self.frozen = False
-
-    def run_cycle(self) -> None:
-        if self.sim.step():
-            self.frozen = True
-
-    def finalize(self) -> SimulationResult:
-        return self.sim.finalize()
-
-
 #: One cycle of the vectorized members, in the event engine's stage
 #: order: ``(profiler phase, kernel pass)``.  The one stage list of this
 #: engine — ``run`` executes it, a profiler times it.  Routing is a LUT
@@ -539,57 +512,27 @@ class _BatchCore:
     order of the event engine's insertion-ordered ``active`` dict.
     Every scalar side effect that order can reach (injection release,
     delivery accounting) is therefore applied in ascending slot order.
+    Every member is fast: :class:`_Split` runs the other points on the
+    event engine.
     """
 
-    def __init__(self, points, sinks=None, profilers=None) -> None:
-        _require_numpy()
-        points = list(points)
-        if not points:
-            raise ValueError("BatchSimulator needs at least one point")
-        sinks = list(sinks) if sinks is not None else [None] * len(points)
-        profilers = (
-            list(profilers) if profilers is not None else [None] * len(points)
-        )
-        self.members: List = []
+    def __init__(self, points, profilers) -> None:
         self.fast: List[_FastMember] = []
-        self.demotions: Dict[str, int] = {}
         # One group per distinct algorithm object x VC count: the shared
         # tables (which carry the LUTs on ``array_lut``).  Holding them
         # here keeps an in-flight batch working if the registry drops
         # the group meanwhile.
         self.groups: List[NetworkTables] = []
         group_of: List[int] = []
-        for (algorithm, pattern, config), sink, profiler in zip(
-            points, sinks, profilers
-        ):
-            reasons = list(demotion_reasons(config))
-            if sink is not None:
-                reasons.append("trace-sink")
-            # Every applicable gate is reported, so the LUT-cap check
-            # runs even when a config gate already fired (cheap: a
-            # closed-form entry count, no group is built).
-            num_vc = config.virtual_channels
-            if _lut_entries(algorithm.topology, num_vc) > _LUT_ENTRY_CAP:
-                reasons.append("lut-cap")  # exceeds the memory cap
-            if reasons:
-                for reason in reasons:
-                    self.demotions[reason] = (
-                        self.demotions.get(reason, 0) + 1
-                    )
-                member = _ScalarMember(
-                    algorithm, pattern, config, sink=sink, profiler=profiler
-                )
-            else:
-                tables = shared_tables(algorithm, num_vc)
-                if tables not in self.groups:
-                    self.groups.append(tables)
-                member = _FastMember(
-                    len(self.fast), _group_tables(tables).num_ch, algorithm,
-                    pattern, config, profiler=profiler,
-                )
-                self.fast.append(member)
-                group_of.append(self.groups.index(tables))
-            self.members.append(member)
+        for (algorithm, pattern, config), profiler in zip(points, profilers):
+            tables = shared_tables(algorithm, config.virtual_channels)
+            if tables not in self.groups:
+                self.groups.append(tables)
+            self.fast.append(_FastMember(
+                len(self.fast), _group_tables(tables).num_ch, algorithm,
+                pattern, config, profiler=profiler,
+            ))
+            group_of.append(self.groups.index(tables))
 
         # -- concatenated channel / node arenas over the fast members.
         # One arena lane per *runtime* channel (physical x vc), matching
@@ -613,8 +556,6 @@ class _BatchCore:
             node_off += member.topology.num_nodes
 
         def template(name: str):
-            if not luts:
-                return np.empty(0, dtype=np.int64)
             return np.concatenate([getattr(lut, name) for lut in luts])
 
         def per_lane(values, dtype=np.int64):
@@ -684,7 +625,7 @@ class _BatchCore:
         self.ch_freed = np.zeros(total_ch + 1, dtype=bool)
         self._any_freed = False
         self._wpad = total_ch
-        self._wwidth = max((2 * lut.K for lut in luts), default=1)
+        self._wwidth = max(2 * lut.K for lut in luts)
 
         nfast = len(self.fast)
         self.f_group = np.asarray(group_of, dtype=np.int64)
@@ -2172,10 +2113,7 @@ class _BatchCore:
             self.m_pending[f] = bool(member.life.pending_nodes)
 
     def run(self) -> List[SimulationResult]:
-        members = self.members
         fast = self.fast
-        scalars = [m for m in members if not m.fast]
-        max_total = max(m.total for m in members)
         m_act = self.m_act
         # The cycle of the fast members: ``_STAGES`` in order (bound
         # here, not at construction, so the core holds no reference to
@@ -2189,139 +2127,159 @@ class _BatchCore:
             else getattr(self, name)
             for phase, name in _STAGES
         ]
-        for cycle in range(max_total):
-            running = 0
-            for member in scalars:
-                if member.frozen:
-                    continue
-                if cycle >= member.total:
-                    member.frozen = True
-                    continue
-                member.run_cycle()
-                if not member.frozen:
-                    running += 1
-            if m_act.any():
-                expired = m_act & (self.m_total <= cycle)
-                if expired.any():
-                    for f in np.nonzero(expired)[0]:
-                        member = fast[int(f)]
-                        member.frozen = True
-                        member._last_cycle = member.total - 1
-                        m_act[f] = False
-                        self._drop_member_slots(int(f))
-            if m_act.any():
-                for stage in stages:
-                    stage(cycle)
-                for f in np.nonzero(m_act & (self.m_next_sample == cycle))[
-                    0
-                ]:
+        for cycle in range(max(m.total for m in fast)):
+            expired = m_act & (self.m_total <= cycle)
+            if expired.any():
+                for f in np.nonzero(expired)[0]:
                     member = fast[int(f)]
-                    member.result.backlog_samples.append(member.life.backlog)
-                    self.m_next_sample[f] += self.m_period[f]
-                dead = np.nonzero(
-                    m_act
-                    & (cycle - self.m_lastprog > self.m_dlthresh)
-                    & (self.m_inflight > 0)
-                )[0]
-                for f in dead:
-                    member = fast[int(f)]
-                    member.result.deadlock = True
-                    member.result.deadlock_cycle = cycle
                     member.frozen = True
-                    member._last_cycle = cycle
+                    member._last_cycle = member.total - 1
                     m_act[f] = False
                     self._drop_member_slots(int(f))
-                running += int(m_act.sum())
-            if running == 0:
+            if not m_act.any():
                 break
+            for stage in stages:
+                stage(cycle)
+            for f in np.nonzero(m_act & (self.m_next_sample == cycle))[0]:
+                member = fast[int(f)]
+                member.result.backlog_samples.append(member.life.backlog)
+                self.m_next_sample[f] += self.m_period[f]
+            dead = np.nonzero(
+                m_act
+                & (cycle - self.m_lastprog > self.m_dlthresh)
+                & (self.m_inflight > 0)
+            )[0]
+            for f in dead:
+                member = fast[int(f)]
+                member.result.deadlock = True
+                member.result.deadlock_cycle = cycle
+                member.frozen = True
+                member._last_cycle = cycle
+                m_act[f] = False
+                self._drop_member_slots(int(f))
         for member in fast:
             if not member.frozen:
                 member._last_cycle = member.total - 1
-        results = []
-        for member in members:
-            if member.fast:
-                results.append(self._finalize_fast(member))
+        return [self._finalize_fast(member) for member in fast]
+
+
+class _Split:
+    """A batch split by the vectorized envelope — the front-end of
+    :class:`ArrayWormholeSimulator` and :class:`BatchSimulator`.
+
+    The in-envelope points share one :class:`_BatchCore` (none is built
+    when there are none); every other point runs as one whole
+    :class:`~repro.simulation.engine.WormholeSimulator` run — the same
+    code, therefore bit-identical.  Results come back in input order.
+    """
+
+    def __init__(self, points, sinks, profilers) -> None:
+        _require_numpy()
+        if not points:
+            raise ValueError("BatchSimulator needs at least one point")
+        fast: List[tuple] = []
+        fast_profilers: List = []
+        # Per point, in input order: the event simulator that runs it,
+        # or None when the core does.
+        self._event: List = []
+        self._demotions: Dict[str, int] = {}
+        for point, sink, profiler in zip(points, sinks, profilers):
+            algorithm, pattern, config = point
+            reasons = list(demotion_reasons(config))
+            if sink is not None:
+                reasons.append("trace-sink")
+            # Every applicable gate is reported, so the LUT-cap check
+            # runs even when a config gate already fired (cheap: a
+            # closed-form entry count, no group is built).
+            num_vc = config.virtual_channels
+            if _lut_entries(algorithm.topology, num_vc) > _LUT_ENTRY_CAP:
+                reasons.append("lut-cap")  # exceeds the memory cap
+            for reason in reasons:
+                self._demotions[reason] = self._demotions.get(reason, 0) + 1
+            if reasons:
+                self._event.append(WormholeSimulator(
+                    algorithm, pattern, config, sink=sink, profiler=profiler
+                ))
             else:
-                results.append(member.finalize())
-        return results
+                self._event.append(None)
+                fast.append(point)
+                fast_profilers.append(profiler)
+        self._core = _BatchCore(fast, fast_profilers) if fast else None
+
+    @property
+    def demotion_counts(self) -> Dict[str, int]:
+        """How many points each envelope gate demoted to the event
+        engine, keyed by reason (see :func:`demotion_reasons`; runtime
+        gates add ``"trace-sink"`` and ``"lut-cap"``).  A point failing
+        several gates counts once per gate."""
+        return dict(self._demotions)
+
+    def _run_all(self) -> List[SimulationResult]:
+        fast = iter(self._core.run() if self._core is not None else ())
+        return [
+            next(fast) if sim is None else sim.run() for sim in self._event
+        ]
 
 
-class ArrayWormholeSimulator:
+class ArrayWormholeSimulator(_Split):
     """The array-backend equivalent of one-point ``WormholeSimulator``.
 
     A batch of one.  Accepts the same sink/profiler hooks; points whose
     feature set leaves the vectorized envelope (see
-    :func:`vectorized_envelope`) transparently run on a cycle-locked
-    event-engine member, so every configuration is supported and
-    bit-identical (documented per feature in docs/SIMULATOR.md).
+    :func:`vectorized_envelope`) transparently run on the event engine,
+    so every configuration is supported and bit-identical (documented
+    per feature in docs/SIMULATOR.md).
     """
 
     def __init__(
         self, algorithm, pattern, config: SimulationConfig,
         sink=None, profiler=None,
     ) -> None:
-        _require_numpy()
-        self._core = _BatchCore(
-            [(algorithm, pattern, config)],
-            sinks=[sink],
-            profilers=[profiler],
-        )
+        super().__init__([(algorithm, pattern, config)], [sink], [profiler])
 
     @property
     def vectorized(self) -> bool:
-        """Whether this point runs on the vectorized kernels (else it is
-        driven through a cycle-locked event-engine member)."""
-        return self._core.members[0].fast
-
-    @property
-    def demotion_counts(self) -> Dict[str, int]:
-        """Demotion reasons for this point (empty when vectorized)."""
-        return dict(self._core.demotions)
+        """Whether this point runs on the vectorized kernels (else it
+        runs on the event engine)."""
+        return self._core is not None
 
     def run(self) -> SimulationResult:
-        return self._core.run()[0]
+        return self._run_all()[0]
 
 
-class BatchSimulator:
+class BatchSimulator(_Split):
     """Advance B independent operating points through one array engine.
 
     ``points`` is a sequence of ``(algorithm, pattern, config)`` tuples;
     :meth:`run` returns their :class:`SimulationResult` objects in input
     order, each bit-identical to a solo run of the same point (on either
-    backend).  Points are cycle-locked: each simulated cycle advances
-    every still-running member, the vectorized ones all inside shared
-    numpy kernels — which is what amortises the per-cycle dispatch
-    cost across the batch (docs/PERFORMANCE.md, "When batching wins").
+    backend).  The vectorized points advance cycle by cycle together,
+    inside shared numpy kernels — which is what amortises the per-cycle
+    dispatch cost across the batch (docs/PERFORMANCE.md, "When batching
+    wins"); each point outside the envelope is one event-engine run.
     """
 
     def __init__(self, points: Sequence[tuple]) -> None:
-        _require_numpy()
-        self._core = _BatchCore(points)
+        points = list(points)
+        none = [None] * len(points)
+        super().__init__(points, none, none)
 
     @property
     def batch_size(self) -> int:
-        return len(self._core.members)
+        return len(self._event)
 
     @property
     def vectorized_count(self) -> int:
-        """How many members run on the vectorized kernels."""
-        return len(self._core.fast)
+        """How many points run on the vectorized kernels."""
+        return self._event.count(None)
 
     @property
     def vectorized_fraction(self) -> float:
-        """Fraction of batch members on the vectorized kernels."""
-        return len(self._core.fast) / len(self._core.members)
-
-    @property
-    def demotion_counts(self) -> Dict[str, int]:
-        """How many members each envelope gate demoted to the scalar
-        path, keyed by reason (see :func:`demotion_reasons`; runtime
-        gates add ``"trace-sink"`` and ``"lut-cap"``).  A member failing
-        several gates counts once per gate."""
-        return dict(self._core.demotions)
+        """Fraction of batch points on the vectorized kernels."""
+        return self.vectorized_count / self.batch_size
 
     def run(self) -> List[SimulationResult]:
-        return self._core.run()
+        return self._run_all()
 
 
 def make_simulator(

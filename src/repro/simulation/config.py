@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, Optional, Tuple
@@ -196,6 +198,20 @@ class SimulationConfig(FrozenMemo):
     repro[array]``).  Part of the cache key, like every other field."""
 
     def __post_init__(self) -> None:
+        # Number shapes first: NaN passes every comparison below, an
+        # infinite rate never stops drawing arrivals, and a fractional
+        # count fails deep inside the engine instead of here.
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:  # the common case costs one test
+                _require_integer(name, value)
+        for length in self.message_lengths:
+            if type(length) is not int:
+                _require_integer("message_lengths", length)
         if self.channel_bandwidth <= 0:
             raise ValueError("channel_bandwidth must be positive")
         if self.buffer_depth < 1:
@@ -383,3 +399,22 @@ class SimulationConfig(FrozenMemo):
     def stable_hash(self) -> str:
         """SHA-256 hex digest of :meth:`canonical_json`."""
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+
+
+def _require_integer(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer
+    (:func:`operator.index` accepts it)."""
+    try:
+        operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+# The fields ``__post_init__`` shape-checks, by the type of their
+# default: floats must be finite, ints integral (bools are neither).
+_FLOAT_FIELDS = tuple(
+    f.name for f in fields(SimulationConfig) if type(f.default) is float
+)
+_INT_FIELDS = tuple(
+    f.name for f in fields(SimulationConfig) if type(f.default) is int
+)

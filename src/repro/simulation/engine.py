@@ -28,10 +28,10 @@ with the array backend; this module owns how worms occupy the network.
 semantically a per-cycle scan of every source and every waiting header,
 but it executes four structural optimisations that skip the scans whose
 outcome is already known — each one bit-identical to the naive scan
-(pass ``reference=True`` to run the scan-based code paths; the
-cross-equivalence suite compares the two, and the golden-fingerprint
-tests pin the optimised engine to the numbers captured before any of
-this existed):
+(the scan oracle ``ScanSimulator`` in ``tests/support/scan_oracle.py``
+runs the scan-based code paths; the cross-equivalence suite compares
+the two, and the golden-fingerprint tests pin the optimised engine to
+the numbers captured before any of this existed):
 
 * **routing-table precomputation** — candidate channels are a pure
   function of ``(node, destination, arrival direction[, vc])``; the
@@ -143,12 +143,11 @@ _STAGES = (
 class WormholeSimulator:
     """Simulates one (algorithm, traffic pattern, load) operating point.
 
-    ``reference=True`` selects the scan-based generation and routing
+    The test suite's scan oracle (``tests/support/scan_oracle.py``)
+    subclasses this engine with the scan-based generation and routing
     code paths (no arrival calendar, no routing-table memo, no wakeup
-    parking, no streaming-worm fast-forward).  It exists for the
-    cross-equivalence test suite — the optimised default must produce
-    bit-identical results — and for debugging suspected optimisation
-    bugs; it is several times slower.
+    parking, no streaming-worm fast-forward); the cross-equivalence
+    suite requires bit-identical results from the two.
     """
 
     def __init__(
@@ -158,7 +157,6 @@ class WormholeSimulator:
         config: SimulationConfig,
         sink=None,
         profiler=None,
-        reference: bool = False,
     ) -> None:
         self.algorithm = algorithm
         self.pattern = pattern
@@ -188,14 +186,12 @@ class WormholeSimulator:
         # Streaming worms (see ``_move``): a sleeping worm's first owed
         # cycle, and the calendar that wakes it.  Worms only sleep when
         # no per-cycle consumer couples them to the outside — a shared
-        # link (virtual channels), per-bucket channel counts (the series
-        # collector), or the scan oracle, which never fast-forwards.
+        # link (virtual channels) or per-bucket channel counts (the
+        # series collector).
         self._owed: Dict[Packet, int] = {}
         self._wake_at: Dict[int, List[Packet]] = {}  # cycle -> worms due
         self._stream = (
-            not reference
-            and config.virtual_channels == 1
-            and config.channel_series_period == 0
+            config.virtual_channels == 1 and config.channel_series_period == 0
         )
         # Host-side work counters (never part of the result): worm steps
         # the movement stage executed one by one, and flit-hops it
@@ -244,9 +240,9 @@ class WormholeSimulator:
         # Congestion-aware output selection: bind the engine-backed
         # view only when the configured policy asks for it, so the
         # default xy path never builds or consults congestion state.
-        # Both engines (reference and optimised) bind the same view —
-        # and both only invoke the policy on non-empty free candidate
-        # sets — so stateful policies stay cross-engine bit-identical.
+        # The scan oracle inherits this binding — and both only invoke
+        # the policy on non-empty free candidate sets — so stateful
+        # policies stay cross-engine bit-identical.
         if getattr(self.output_policy, "uses_congestion", False):
             self.output_policy.bind(EngineCongestionView(self))
 
@@ -264,14 +260,6 @@ class WormholeSimulator:
         self._parked: Set[Packet] = set()
         self._channel_watchers: Dict[int, Set[Packet]] = {}
         self._eject_watchers: Dict[int, Set[Packet]] = {}
-        self._wakeups = not reference
-        self._reference = reference
-        if reference:
-            # Scan-based code paths, kept for the equivalence suite.
-            self._generate = self._generate_reference
-            self._candidate_channels = (  # type: ignore[method-assign]
-                self._candidate_channels_reference
-            )
 
         # Observability: a trace sink, streaming metrics collectors, and
         # a phase profiler — each held as None when disabled so every
@@ -325,10 +313,10 @@ class WormholeSimulator:
         deadlock watchdog).  True when the run should abort — the
         watchdog tripped.
 
-        :meth:`run`, the array backend's demoted members and interactive
-        drivers all advance through here, so stepping N cycles leaves
-        the simulator in exactly the state running N cycles would (call
-        :meth:`finalize` to fold end-of-run state into the result)."""
+        :meth:`run` and interactive drivers both advance through here,
+        so stepping N cycles leaves the simulator in exactly the state
+        running N cycles would (call :meth:`finalize` to fold end-of-run
+        state into the result)."""
         cycle = self.cycle
         for stage in self._stages:
             getattr(self, stage)(cycle)
@@ -372,33 +360,7 @@ class WormholeSimulator:
 
     # -- stage 1: generation and injection ------------------------------------
     # (``_generate`` is the lifecycle's arrival calendar, bound in
-    # ``__init__``; the scan below replaces it when ``reference=True``.)
-
-    def _generate_reference(self, cycle: int) -> None:
-        """The scan-based generator: visit every source, every cycle
-        (the pre-calendar hot path, kept as the test oracle for the
-        lifecycle's calendar — it reads and advances the same state)."""
-        if self.config.messages_per_cycle <= 0:
-            return
-        if cycle >= self.config.generation_cycles:
-            return  # drain window: let in-flight traffic finish
-        life = self._life
-        rate = self.config.messages_per_cycle
-        lengths = self.config.message_lengths
-        for node in self.sources:
-            when = self.next_arrival[node]
-            while when <= cycle:
-                when += self.rng.expovariate(rate)
-                if node in life.dead_routers:
-                    continue  # a dead router offers no traffic
-                if len(self.queues[node]) >= self.config.max_queue_per_node:
-                    continue
-                dst = self.pattern.dest(node, self.rng)
-                if dst is None or dst == node:
-                    continue
-                length = lengths[self.rng.randrange(len(lengths))]
-                life.enqueue(life.new_packet(node, dst, length, cycle))
-            self.next_arrival[node] = when
+    # ``__init__``.)
 
     def inject_packet(
         self, src: int, dst: int, length: int, created: Optional[int] = None
@@ -456,61 +418,6 @@ class WormholeSimulator:
         if not free and packet.misroutes < self.config.misroute_limit:
             free = [c for c in self._escape(port, dest) if alloc[c[1]] is None]
         return free
-
-    def _candidate_channels_reference(self, packet: Packet) -> List[tuple]:
-        """Free candidates derived from scratch on every call — the
-        algorithm asked directly, the misroute bit from two distance
-        computations (the pre-table hot path, kept for the equivalence
-        suite)."""
-        if self.num_vc == 1:
-            cands = self.algorithm.candidates(
-                packet.head_node, packet.dst, packet.head_direction
-            )
-            free = self._filter_free(packet, [(d, 0) for d in cands])
-            if not free and packet.misroutes < self.config.misroute_limit:
-                escapes = self.algorithm.escape_candidates(
-                    packet.head_node, packet.dst, packet.head_direction
-                )
-                free = self._filter_free(packet, [(d, 0) for d in escapes])
-            return free
-        pairs = self.algorithm.vc_candidates(
-            packet.head_node,
-            packet.dst,
-            packet.head_direction,
-            packet.head_vc,
-            self.num_vc,
-        )
-        free = self._filter_free(packet, pairs)
-        if not free and packet.misroutes < self.config.misroute_limit:
-            escapes = self.algorithm.vc_escape_candidates(
-                packet.head_node,
-                packet.dst,
-                packet.head_direction,
-                packet.head_vc,
-                self.num_vc,
-            )
-            free = self._filter_free(packet, escapes)
-        return free
-
-    def _filter_free(self, packet: Packet, pairs) -> List[tuple]:
-        node = packet.head_node
-        distance = self.topology.distance
-        out = []
-        for direction, vc in pairs:
-            if self.num_vc == 1:
-                cid = self.channel_ids[(node, direction)]
-            else:
-                base = self.channel_ids.get((node, direction))
-                if base is None or not 0 <= vc < self.num_vc:
-                    continue
-                cid = base + vc
-            if self.channel_alloc[cid] is None:
-                misroute = int(
-                    distance(self.channels[cid].dst, packet.dst)
-                    >= distance(node, packet.dst)
-                )
-                out.append((direction, cid, misroute))
-        return out
 
     # -- channel-free wakeup sets ---------------------------------------------
 
@@ -574,7 +481,6 @@ class WormholeSimulator:
         eject_requests: Dict[int, List[Packet]] = {}
         misrouting: Set[Packet] = set()  # requests for a nonminimal hop
         emit = self._emit
-        wakeups = self._wakeups
         candidate_channels = self._candidate_channels
         ejection_alloc = self.ejection_alloc
         output_policy = self.output_policy
@@ -588,15 +494,13 @@ class WormholeSimulator:
                 else:
                     if emit is not None:
                         self._note_blocked(packet, cycle)
-                    if wakeups:
-                        self._park_eject(packet)
+                    self._park_eject(packet)
                 continue
             free = candidate_channels(packet)
             if not free:
                 if emit is not None:
                     self._note_blocked(packet, cycle)
-                if wakeups:
-                    self._park(packet)
+                self._park(packet)
                 continue
             directions = []
             for direction, _, _ in free:

@@ -66,7 +66,7 @@ class PacketLifecycle:
         # The arrival calendar: a heap of (next arrival time, source
         # index) so a cycle with no due source costs one peek.
         # ``next_arrival`` mirrors it per node for introspection and for
-        # the scan-based reference generator.
+        # the test suite's scan-based generator.
         self.next_arrival: Dict[int, float] = {}
         self.arrival_heap: List[Tuple[float, int]] = []
         rate = config.messages_per_cycle

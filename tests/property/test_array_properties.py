@@ -217,7 +217,7 @@ class TestVirtualChannelBatches:
         for _, _, _, config in points:
             assert demotion_reasons(config) == ()
         # These shapes stay under the LUT cap, so in-envelope means
-        # vectorized — a silent scalar fallback fails here.
+        # vectorized — a silent event-engine fallback fails here.
         assert batch.vectorized_count == len(points)
         batched = batch.run()
         solo = [

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scan_oracle import ScanSimulator
 
 from repro.faults.plan import PERMANENT, FaultEvent, FaultPlan
 from repro.observability import ListSink
@@ -142,20 +143,19 @@ def streaming_case(draw):
 
 class TestStreamingFastForward:
     """The event engine fast-forwards streaming worms; the scan oracle
-    (``reference=True``) steps every flit.  Same results, same trace."""
+    (``ScanSimulator``) steps every flit.  Same results, same trace."""
 
     @given(streaming_case())
     @settings(max_examples=30)
     def test_event_engine_equals_the_scan_oracle(self, case):
         mesh, alg_index, config = case
         sims = []
-        for reference in (True, False):
-            sim = WormholeSimulator(
+        for engine in (ScanSimulator, WormholeSimulator):
+            sim = engine(
                 mesh_algorithms(mesh)[alg_index],
                 UniformPattern(mesh),
                 config,
                 sink=ListSink(),
-                reference=reference,
             )
             sim.run()
             sims.append(sim)

@@ -8,6 +8,7 @@ import collections
 import dataclasses
 
 import pytest
+from scan_oracle import ScanSimulator
 
 import repro.analysis.runner as runner
 import repro.routing.table as table
@@ -68,11 +69,9 @@ class FirstCandidateOnly(WestFirst):
         return super().candidates(current, dest, in_direction)[:1]
 
 
-def run_event(algorithm, config=CONFIG, reference=False):
+def run_event(algorithm, config=CONFIG, engine=WormholeSimulator):
     pattern = make_pattern("uniform", algorithm.topology)
-    return WormholeSimulator(
-        algorithm, pattern, config, reference=reference
-    ).run()
+    return engine(algorithm, pattern, config).run()
 
 
 class TestBuiltOnce:
@@ -172,11 +171,11 @@ class TestIdentity:
         expected = run_event(algorithm)
 
         def forbidden(self, port, dest):
-            raise AssertionError("reference=True read the shared tables")
+            raise AssertionError("the scan oracle read the shared tables")
 
         monkeypatch.setattr(NetworkTables, "minimal", forbidden)
         monkeypatch.setattr(NetworkTables, "escape", forbidden)
-        assert run_event(algorithm, reference=True).to_dict() == (
+        assert run_event(algorithm, engine=ScanSimulator).to_dict() == (
             expected.to_dict()
         )
 

@@ -1,7 +1,7 @@
 """Array-backend specifics the three-way equivalence suite doesn't cover:
 the numpy gate (clear error without the optional extra), backend
 dispatch, vectorized-envelope classification, heterogeneous batches,
-LUT-cap demotion to the scalar fallback, the cross-batch routing-table
+LUT-cap demotion to the event engine, the cross-batch routing-table
 cache, and the golden fingerprints on the array backend.
 """
 
@@ -101,7 +101,7 @@ class TestDispatch:
 class TestVectorizedEnvelope:
     """The envelope predicate is pure config — no numpy needed — and
     names exactly the features the numpy kernels carry; everything else
-    rides the cycle-locked scalar member (still bit-identical)."""
+    runs as one whole event-engine run (still bit-identical)."""
 
     def test_default_config_is_in_envelope(self):
         assert vectorized_envelope(SimulationConfig())
@@ -384,6 +384,22 @@ class TestDemotionObservability:
             "output-selection": 3,
             "input-selection": 1,
         }
+        # Demoted points run whole on the event engine; the results
+        # still come back in input order.
+        for point, result in zip(points, batch.run()):
+            assert result.to_dict() == event_result(point).to_dict()
+
+    def test_all_demoted_batch_builds_no_core(self):
+        points = [
+            build_point(seed=s, output_selection="random") for s in (3, 5)
+        ]
+        batch = BatchSimulator(
+            [(a, p, c.with_backend("array")) for a, p, c in points]
+        )
+        assert batch._core is None
+        assert batch.vectorized_fraction == 0.0
+        for point, result in zip(points, batch.run()):
+            assert result.to_dict() == event_result(point).to_dict()
 
     def test_sink_demotion_counted_as_runtime_gate(self):
         a, p, c = build_point()

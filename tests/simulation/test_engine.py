@@ -235,6 +235,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(misroute_limit=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # An infinite rate draws zero interarrival gaps forever.
+            ("offered_load", float("inf"), "finite"),
+            ("offered_load", float("nan"), "finite"),
+            ("channel_bandwidth", float("inf"), "finite"),
+            ("channel_bandwidth", float("nan"), "finite"),
+            ("warmup_cycles", 1.5, "integer"),
+            ("buffer_depth", 1.5, "integer"),
+            ("message_lengths", (2.5,), "integer"),
+        ],
+    )
+    def test_rejects_non_finite_and_fractional_numbers(
+        self, field, value, message
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be .*{message}"):
+            SimulationConfig(**{field: value})
+
     def test_derived_quantities(self):
         config = SimulationConfig(offered_load=2.1)
         assert config.cycle_time_us == pytest.approx(0.05)

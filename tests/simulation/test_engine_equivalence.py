@@ -1,10 +1,11 @@
 """The three engine backends are bit-identical on every feature.
 
-``WormholeSimulator(reference=True)`` runs the pre-optimisation code
-paths: scan-every-source generation, derive-from-scratch routing, no
-wakeup parking.  Every operating point here runs the reference scan
-engine, the optimised event engine, and — when numpy is installed —
-the batched array backend, and compares the *complete*
+The scan oracle (``ScanSimulator``, ``tests/support/scan_oracle.py``)
+runs the pre-optimisation code paths: scan-every-source generation,
+derive-from-scratch routing, no wakeup parking, no streaming-worm
+fast-forward.  Every operating point here runs the scan oracle, the
+optimised event engine, and — when numpy is installed — the batched
+array backend, and compares the *complete*
 ``SimulationResult.to_dict()`` — counters, histograms, backlog
 samples, utilization series — plus, where a sink is attached, the full
 ordered trace-event stream.  Any divergence in RNG draw order,
@@ -19,17 +20,18 @@ threshold — including fault plans, watchdog timeouts with retries,
 profilers, and the streaming collectors) the array backend's numpy
 kernels reproduce the event engine's decision stream exactly; outside
 it (random/zigzag selection, trace sinks, the LUT entry cap) the array
-backend drives a cycle-locked event-engine member, bit-identical by
+backend runs the point as one whole event-engine run, bit-identical by
 construction.  There is no
 statistically-equivalent-only feature class.  ``assert_equivalent``
 additionally asserts that in-envelope points really ran on the
 vectorized kernels, so the fault/policy/watchdog/collector legs here
-cannot silently regress onto the scalar fallback.
+cannot silently regress onto the event-engine fallback.
 """
 
 import dataclasses
 
 import pytest
+from scan_oracle import ScanSimulator
 
 from repro.analysis.runner import make_pattern, parse_topology_spec
 from repro.faults.plan import FaultPlan
@@ -45,14 +47,14 @@ from repro.simulation.engine import WormholeSimulator
 from repro.simulation.packet import PacketState
 
 
-def build(topology_spec, algorithm, pattern, config, reference, sink=None):
+def build(topology_spec, algorithm, pattern, config, oracle, sink=None):
+    """The scan oracle (``oracle=True``) or the event engine."""
     topology = parse_topology_spec(topology_spec)
-    return WormholeSimulator(
+    return (ScanSimulator if oracle else WormholeSimulator)(
         make_algorithm(algorithm, topology),
         make_pattern(pattern, topology),
         config,
         sink=sink,
-        reference=reference,
     )
 
 
@@ -80,7 +82,7 @@ def assert_equivalent(topology_spec, algorithm, pattern, config, trace=True):
     if not numpy_available():
         return
     # Third way: the array backend, sinkless first so the vectorized
-    # kernels (not just the scalar fallback) carry in-envelope points.
+    # kernels (not just the event-engine fallback) carry in-envelope points.
     arr_sim = build_array(topology_spec, algorithm, pattern, config)
     if not demotion_reasons(config):
         assert arr_sim.vectorized
@@ -128,6 +130,26 @@ class TestMeshEquivalence:
             seed=5, misroute_limit=2,
         )
         assert_equivalent("mesh:5x5", "negative-first", "uniform", config)
+
+    @pytest.mark.parametrize(
+        "algorithm, pattern, misroute_limit, seed",
+        [
+            ("negative-first", "uniform", 2, 2),
+            ("north-last", "transpose", 1, 1),
+        ],
+    )
+    def test_parked_headers_wake_on_escape_channels(
+        self, algorithm, pattern, misroute_limit, seed
+    ):
+        # A header blocked on every minimal candidate parks on its
+        # escape channels too while it has misroute budget left; these
+        # saturated points diverge from the oracle when a freed escape
+        # channel fails to wake it.
+        config = SimulationConfig(
+            offered_load=2.5, warmup_cycles=100, measure_cycles=400,
+            seed=seed, misroute_limit=misroute_limit,
+        )
+        assert_equivalent("mesh:8x8", algorithm, pattern, config)
 
     def test_random_selection_policies(self):
         # Random input/output selection consumes RNG draws during
@@ -488,8 +510,8 @@ class TestStreamingWorms:
         sink and the scripted messages queued at cycle 0."""
         config = dataclasses.replace(config, track_channel_load=True)
         sims = []
-        for reference in (True, False):
-            sim = build(*spec, config, reference, ListSink())
+        for oracle in (True, False):
+            sim = build(*spec, config, oracle, ListSink())
             for src, dst, length in scripted:
                 sim.inject_packet(src, dst, length, created=0)
             sims.append(sim)

@@ -272,6 +272,9 @@ def test_simulator_md_knob_table_names_each_flag_and_its_commands():
 # traceback.  Each case lists the strings the message must contain.
 HOSTILE = [
     (["simulate", "xy", "--topology", "mesh:4x4", "--load", "-1"], ["--load", "-1"]),
+    # An infinite rate used to hang generation; NaN passed every check.
+    (["simulate", "xy", "--topology", "mesh:4x4", "--load", "inf"], ["--load", "inf"]),
+    (["simulate", "xy", "--topology", "mesh:4x4", "--load", "nan"], ["--load", "nan"]),
     (["simulate", "xy", "--buffer-depth", "0"], ["--buffer-depth", "0"]),
     (["simulate", "xy", "--vc", "0"], ["--vc", "0"]),
     (["simulate", "xy", "--warmup", "-5"], ["--warmup", "-5"]),
