@@ -30,9 +30,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
-from ..simulation.array_engine import BatchSimulator, make_simulator
+from ..simulation.array_engine import make_simulator
 from ..simulation.config import SimulationConfig
-from .runner import PointSpec, parse_topology_spec
+from .runner import ParallelSweepRunner, PointSpec, parse_topology_spec
 
 BENCH_SCHEMA = 3
 """Schema 3 dropped every host-dependent value (walls, rates, speedups,
@@ -51,8 +51,7 @@ class PinnedPoint:
     """``batch_size`` seeds (``seed``, ``seed + 1``, ...) of one
     operating point, fully deterministic.  A solo point is a batch of
     one.  Event points run one simulator per member; array points run
-    as a single :class:`BatchSimulator` pass, exactly as a sweep runner
-    would execute them."""
+    through an inline sweep runner, as a single batched engine pass."""
 
     id: str
     topology: str
@@ -117,15 +116,17 @@ class PinnedPoint:
             config = config.with_observability()
         return config
 
+    def specs(self) -> List[PointSpec]:
+        """One :class:`PointSpec` per member."""
+        return [
+            PointSpec(self.topology, self.algorithm, self.pattern, self.config(m))
+            for m in range(self.batch_size)
+        ]
+
     def build(self) -> List[tuple]:
         """(algorithm, pattern, config) per member — the shared
         topology/algorithm and one fresh pattern each."""
-        out = []
-        for member in range(self.batch_size):
-            config = self.config(member)
-            spec = PointSpec(self.topology, self.algorithm, self.pattern, config)
-            out.append((*spec.build(), config))
-        return out
+        return [(*spec.build(), spec.config) for spec in self.specs()]
 
     def spec_dict(self) -> Dict[str, object]:
         """Every field that defines the simulation and differs from its
@@ -309,16 +310,16 @@ class Pin:
 
 def run_point(point: PinnedPoint) -> Pin:
     """Run every member of ``point`` once (array points need numpy)."""
-    members = point.build()
     worm_steps = bulk_flit_hops = None
     bit_identical = True
     if point.backend == "event":
-        sims = [make_simulator(*member) for member in members]
+        sims = [make_simulator(*member) for member in point.build()]
         results = [sim.run() for sim in sims]
         worm_steps = sum(sim.worm_steps for sim in sims)
         bulk_flit_hops = sum(sim.bulk_flit_hops for sim in sims)
     else:
-        results = BatchSimulator(members).run()
+        runner = ParallelSweepRunner(jobs=1, cache=None)
+        results = runner.run_points(point.specs())
         sampled = replace(point, backend="event", batch_size=point.event_sample)
         bit_identical = all(
             _fingerprint(make_simulator(*member).run()) == _fingerprint(result)

@@ -269,15 +269,9 @@ def run_fault_campaign(
             for algorithm in algorithms:
                 specs.append(PointSpec(topology, algorithm, pattern, config))
                 index.append((algorithm, count))
-    if runner is not None:
-        results = runner.run_points(specs, progress=progress)
-    else:
-        results = []
-        for spec in specs:
-            result = spec.execute()
-            results.append(result)
-            if progress is not None:
-                progress(result)
+    if runner is None:
+        runner = ParallelSweepRunner(jobs=1, cache=None)
+    results = runner.run_points(specs, progress=progress)
     cells: Dict[tuple, FaultCell] = {}
     for (algorithm, count), result in zip(index, results):
         key = (algorithm, count)

@@ -14,10 +14,16 @@ the sweep/saturation/figure harnesses route through:
   :class:`~repro.simulation.metrics.SimulationResult` objects keyed by a
   deterministic content hash of the point spec plus the package version.
   Re-running a figure with an unchanged configuration is instant.
-* :class:`ParallelSweepRunner` — fans a batch of specs out over a
-  supervised worker pool (or runs them inline for ``jobs=1``), serves
-  cache hits, records wall-clock/points-per-second statistics, and
-  invokes a per-point progress callback as results arrive.
+* :class:`ParallelSweepRunner` — the one code path that runs a batch:
+  it serves cache hits, splits the rest into *tasks* (shards of
+  array-backend points that run as one batched engine pass, and
+  single points), runs the tasks inline or on a supervised worker
+  pool, records wall-clock/points-per-second statistics, and invokes a
+  per-point progress callback as results arrive.
+* :func:`run_live_points` — what the sweep/saturation harnesses call
+  with live ``(algorithm, pattern, config)`` objects: the
+  registry-rebuildable ones go through a runner, hand-built ones run
+  inline.
 
 Batches execute under the supervision layer of
 :mod:`repro.analysis.supervision` (docs/RESILIENCE.md): worker crashes,
@@ -49,7 +55,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .supervision import (
     BatchReport,
     CampaignJournal,
-    PointExecutionError,
     PointFailure,
     SupervisedPool,
 )
@@ -166,7 +171,7 @@ def topology_spec(topology: Topology) -> str:
     """Inverse of :func:`parse_topology_spec` for the built-in topologies.
 
     Raises :class:`ValueError` for topology classes without a spec form
-    (callers fall back to in-process serial execution for those).
+    (:func:`run_live_points` runs those inline).
     """
     if isinstance(topology, KAryNCube):
         return f"torus:{topology.k}x{topology.n_dims}"
@@ -304,12 +309,12 @@ def point_spec(
 
     Raises :class:`ValueError` when the algorithm or pattern is not
     registry-constructible (e.g. a custom turn model built by hand);
-    callers then fall back to in-process serial execution.
+    :func:`run_live_points` then runs the point inline.
     """
     topo_spec = topology_spec(algorithm.topology)
     rebuilt_topology = parse_topology_spec(topo_spec)
     try:
-        rebuilt = make_algorithm(algorithm.name, rebuilt_topology)
+        rebuilt = shared_algorithm(algorithm.name, rebuilt_topology)
     except (KeyError, ValueError) as exc:
         raise ValueError(
             f"algorithm {algorithm.name!r} is not registry-constructible: "
@@ -337,23 +342,54 @@ def point_spec(
     )
 
 
+def run_live_points(
+    points: Sequence[Tuple[RoutingAlgorithm, TrafficPattern, SimulationConfig]],
+    runner: Optional["ParallelSweepRunner"] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> List[Optional[SimulationResult]]:
+    """Run ``(algorithm, pattern, config)`` triples, results in order.
+
+    Triples :func:`point_spec` can describe go through ``runner`` as one
+    batch (``None`` means ``ParallelSweepRunner(jobs=1, cache=None)``),
+    so ``config.backend`` picks the engine and array points batch.
+    Hand-built objects a worker cannot rebuild run inline here through
+    :func:`make_simulator`, uncached and unseen by the runner.
+    """
+    results: List[Optional[SimulationResult]] = [None] * len(points)
+    specs: List[PointSpec] = []
+    where: List[int] = []
+    for i, (algorithm, pattern, config) in enumerate(points):
+        try:
+            specs.append(point_spec(algorithm, pattern, config))
+        except ValueError:
+            results[i] = make_simulator(algorithm, pattern, config).run()
+            if progress is not None:
+                progress(results[i])
+        else:
+            where.append(i)
+    if specs:
+        if runner is None:
+            runner = ParallelSweepRunner(jobs=1, cache=None)
+        for i, result in zip(where, runner.run_points(specs, progress=progress)):
+            results[i] = result
+    return results
+
+
 # ---------------------------------------------------------------------------
-# Array-backend batching
+# Tasks: array shards and single points
 # ---------------------------------------------------------------------------
 
 
 def array_batch_indices(
     specs: Sequence[PointSpec], pending: Sequence[int]
 ) -> List[int]:
-    """The subset of ``pending`` indices eligible for one batched
-    array-engine pass.
+    """The subset of ``pending`` indices that shard into batched
+    array-engine passes.
 
     A point qualifies when its spec carries a real config with
     ``backend == "array"`` and can ``build()`` live objects; duck-typed
     specs (``execute()``/``cache_key()`` only — e.g. the chaos-test
-    specs) always take the generic per-point paths.  Shared by the
-    inline batching fast path and the supervised sharding path so the
-    two can never disagree about membership.
+    specs) always run as single points.
     """
     return [
         i
@@ -364,17 +400,36 @@ def array_batch_indices(
     ]
 
 
+def _tasks(
+    specs: Sequence[PointSpec], pending: Sequence[int], shards: int
+) -> List[Tuple[int, ...]]:
+    """Every pending index in exactly one task: the array points as at
+    most ``shards`` contiguous shards, first, then each other point as a
+    task of one (as is a shard that ends up with one member)."""
+    array = array_batch_indices(specs, pending)
+    bound = max(1, -(-len(array) // shards))  # ceil: the largest shard
+    tasks = [
+        tuple(array[lo : lo + bound]) for lo in range(0, len(array), bound)
+    ]
+    sharded = set(array)
+    return tasks + [(i,) for i in pending if i not in sharded]
+
+
+def _payload(specs: Sequence[PointSpec], task: Tuple[int, ...]):
+    """What runs a task: the spec itself for a task of one, else an
+    :class:`_ArrayShardSpec` (whose result is the members' results)."""
+    if len(task) == 1:
+        return specs[task[0]]
+    return _ArrayShardSpec(tuple(specs[i] for i in task))
+
+
 @dataclass
 class _ArrayShardSpec:
-    """A picklable sub-batch of array-backend points for one supervised
-    worker: ``execute()`` runs them as a single :class:`BatchSimulator`
-    pass and returns their results in shard order."""
-
-    indices: Tuple[int, ...]
-    """Positions of the shard's points in the parent batch."""
+    """A picklable shard of array-backend points: ``execute()`` runs
+    them as a single :class:`BatchSimulator` pass and returns their
+    results in shard order."""
 
     specs: Tuple[PointSpec, ...]
-    """The point specs, parallel to ``indices``."""
 
     def execute(self) -> List[SimulationResult]:
         points = []
@@ -599,10 +654,13 @@ class ParallelSweepRunner:
         With a journal: load previously completed points and serve them
         from the cache instead of re-executing (requires a cache).
 
-    Any of ``point_timeout``/``max_point_retries``/``keep_going``/
-    ``journal`` engages supervision; without them (and with the
-    caller's historical ``jobs``/``cache`` usage) execution follows the
-    original zero-overhead path and is bit-identical to it.
+    Every pending point runs as part of one *task*: the array-backend
+    points as contiguous shards (one unless supervised, else up to
+    ``jobs``), each one batched engine pass; every other point alone.
+    An unsupervised batch with ``jobs=1`` or a single task runs inline;
+    any other batch runs on the worker pool, shards first.  Any of
+    ``point_timeout``/``max_point_retries``/``keep_going``/``journal``
+    engages supervision.  The plan never changes a result.
     """
 
     def __init__(
@@ -696,8 +754,8 @@ class ParallelSweepRunner:
         manifest.
 
         Cache hits (and, when resuming, journaled points) are served
-        first; the rest fan out over the supervised worker pool (inline
-        for ``jobs=1`` without supervision).  Results are bit-identical
+        first; the rest run as tasks, inline or on the supervised worker
+        pool (see the class docstring).  Results are bit-identical
         to running each spec serially because every simulation owns a
         private RNG seeded from its config.  Wall-clock and point
         accounting are committed even when the batch dies mid-flight.
@@ -706,6 +764,17 @@ class ParallelSweepRunner:
         started = time.perf_counter()
         results: List[Optional[SimulationResult]] = [None] * len(specs)
         batch_failures: List[PointFailure] = []
+
+        def complete(task, outcome, attempts=1, duration=0.0):
+            # A shard's duration amortises over its members, so the
+            # journal's per-point numbers stay comparable.
+            for i, result in zip(task, outcome if len(task) > 1 else [outcome]):
+                results[i] = result
+                self._record(
+                    specs[i], result, report,
+                    attempts=attempts, duration=duration / len(task),
+                )
+
         try:
             pending: List[int] = []
             for i, spec in enumerate(specs):
@@ -730,68 +799,69 @@ class ParallelSweepRunner:
                 else:
                     pending.append(i)
 
-            if not pending:
-                return BatchReport(results, batch_failures)
+            # Array points run as batched engine passes: stacking them is
+            # the point of the backend, and the results are bit-identical
+            # to per-point runs and recorded per point.  Only supervision
+            # shards them per worker (crash isolation, the watchdog).
+            tasks = _tasks(
+                specs, pending, self.jobs if self.supervised else 1
+            )
+            inline = not self.supervised and (
+                self.jobs == 1 or len(tasks) == 1
+            )
+            if inline:
+                for task in tasks:
+                    complete(task, _payload(specs, task).execute())
+            elif tasks:
+                self._run_pool(specs, tasks, complete, batch_failures)
+        finally:
+            # Committed even when a worker/progress callback raises or
+            # the batch is interrupted: completed points stay counted.
+            self.stats.wall_seconds += time.perf_counter() - started
+        batch_failures.sort(key=lambda f: f.index)
+        return BatchReport(results, batch_failures)
 
-            # Array-backend points execute as batched engine passes:
-            # stacking them is the entire point of the backend (numpy
-            # kernels advance every member per cycle), and it beats
-            # fanning them out one per worker process.  Results are
-            # bit-identical to per-point runs (equivalence suite) and
-            # are recorded per point, so cache/journal/progress behave
-            # exactly as if each had run alone.  Unsupervised batches
-            # run as ONE in-process pass; supervised campaigns shard
-            # the set into per-worker sub-batches (crash isolation and
-            # the wall-clock watchdog then apply per shard, with the
-            # timeout scaled by shard size).
-            abatch = array_batch_indices(specs, pending)
-            if not self.supervised:
-                if len(abatch) > 1:
-                    points = []
-                    for i in abatch:
-                        algorithm, pattern = specs[i].build()
-                        points.append((algorithm, pattern, specs[i].config))
-                    for i, result in zip(
-                        abatch, BatchSimulator(points).run()
-                    ):
-                        results[i] = result
-                        self._record(specs[i], result, report)
-                    done = set(abatch)
-                    pending = [i for i in pending if i not in done]
-                    if not pending:
-                        return BatchReport(results, batch_failures)
-            elif len(abatch) > 1:
-                pending = self._run_supervised_shards(
-                    specs, pending, abatch, results, batch_failures, report
-                )
-                if not pending:
-                    return BatchReport(results, batch_failures)
+    def _run_pool(
+        self,
+        specs: Sequence[PointSpec],
+        tasks: List[Tuple[int, ...]],
+        complete: Callable,
+        batch_failures: List[PointFailure],
+    ) -> None:
+        """Run ``tasks`` on supervised workers: the shards first, with
+        the wall-clock limit scaled by the largest shard, then the tasks
+        of one.
 
-            if not self.supervised and (self.jobs == 1 or len(pending) == 1):
-                for i in pending:
-                    results[i] = specs[i].execute()
-                    self._record(specs[i], results[i], report)
-                return BatchReport(results, batch_failures)
-
+        In the pool a task goes by its first member's index.  A shard
+        that fails for good is not a failure: its members join the
+        one-point pass, so only a point that fails alone fails for good.
+        """
+        singles = [task for task in tasks if len(task) == 1]
+        for batch in ([task for task in tasks if len(task) > 1], singles):
+            if not batch:
+                continue
+            by_first = {task[0]: task for task in batch}
+            size = max(map(len, batch))
             pool = SupervisedPool(
-                workers=min(self.jobs, len(pending)),
-                point_timeout=self.point_timeout,
+                workers=min(self.jobs, len(batch)),
+                point_timeout=(
+                    None
+                    if self.point_timeout is None
+                    else self.point_timeout * size
+                ),
                 max_retries=self.max_point_retries,
                 retry_backoff_base=self.retry_backoff_base,
                 retry_backoff_cap=self.retry_backoff_cap,
             )
 
-            def on_point(index, result, attempts, duration):
-                results[index] = result
-                self._record(
-                    specs[index],
-                    result,
-                    report,
-                    attempts=attempts,
-                    duration=duration,
-                )
+            def on_point(index, outcome, attempts, duration):
+                complete(by_first[index], outcome, attempts, duration)
 
             def on_failure(failure):
+                task = by_first[failure.index]
+                if len(task) > 1:
+                    singles.extend((i,) for i in task)
+                    return
                 batch_failures.append(failure)
                 self.failures.append(failure)
                 self.stats.failed += 1
@@ -802,116 +872,13 @@ class ParallelSweepRunner:
                 self.stats.retried += 1
 
             pool.run(
-                [(i, specs[i]) for i in pending],
-                keep_going=self.keep_going,
+                [(task[0], _payload(specs, task)) for task in batch],
+                # A failed shard never aborts the batch: it splits.
+                keep_going=self.keep_going or size > 1,
                 on_point=on_point,
                 on_failure=on_failure,
                 on_retry=on_retry,
             )
-        finally:
-            # Committed even when a worker/progress callback raises or
-            # the batch is interrupted: completed points stay counted.
-            self.stats.wall_seconds += time.perf_counter() - started
-        batch_failures.sort(key=lambda f: f.index)
-        return BatchReport(results, batch_failures)
-
-    def _run_supervised_shards(
-        self,
-        specs: Sequence[PointSpec],
-        pending: List[int],
-        abatch: List[int],
-        results: List[Optional[SimulationResult]],
-        batch_failures: List[PointFailure],
-        report: Optional[ProgressCallback],
-    ) -> List[int]:
-        """Run the batch's array-backend points as supervised per-worker
-        sub-batches; returns the still-pending indices (the non-array
-        remainder, for the per-point pool).
-
-        Each shard is one :class:`_ArrayShardSpec` — a contiguous slice
-        of the eligible points, at most one per worker — executed as a
-        single batched engine pass inside a supervised worker.  Crash/
-        timeout/retry semantics apply per shard: the wall-clock limit
-        scales with the largest shard (a shard does up to that many
-        points' work), and a permanently failed shard is expanded into
-        one :class:`PointFailure` per member point so downstream
-        manifest handling stays per-point.
-        """
-        workers = min(self.jobs, len(abatch))
-        bound = -(-len(abatch) // workers)  # ceil: the largest shard
-        shards = [
-            _ArrayShardSpec(
-                indices=tuple(abatch[lo : lo + bound]),
-                specs=tuple(specs[i] for i in abatch[lo : lo + bound]),
-            )
-            for lo in range(0, len(abatch), bound)
-        ]
-        pool = SupervisedPool(
-            workers=min(workers, len(shards)),
-            point_timeout=(
-                None
-                if self.point_timeout is None
-                else self.point_timeout * bound
-            ),
-            max_retries=self.max_point_retries,
-            retry_backoff_base=self.retry_backoff_base,
-            retry_backoff_cap=self.retry_backoff_cap,
-        )
-
-        def on_point(shard_index, shard_results, attempts, duration):
-            shard = shards[shard_index]
-            # Duration amortises over the shard: the per-point journal
-            # numbers stay comparable with per-point execution.
-            per_point = duration / max(len(shard.indices), 1)
-            for i, result in zip(shard.indices, shard_results):
-                results[i] = result
-                self._record(
-                    specs[i],
-                    result,
-                    report,
-                    attempts=attempts,
-                    duration=per_point,
-                )
-
-        def expand_failure(failure: PointFailure) -> List[PointFailure]:
-            shard = shards[failure.index]
-            return [
-                PointFailure(
-                    index=i,
-                    spec=specs[i],
-                    cause=failure.cause,
-                    attempts=failure.attempts,
-                    duration=failure.duration / max(len(shard.indices), 1),
-                    message=failure.message,
-                    traceback=failure.traceback,
-                )
-                for i in shard.indices
-            ]
-
-        def on_failure(failure):
-            for point_failure in expand_failure(failure):
-                batch_failures.append(point_failure)
-                self.failures.append(point_failure)
-                self.stats.failed += 1
-                if self.journal is not None:
-                    self.journal.record_failure(point_failure)
-
-        def on_retry(shard_index, cause, attempt):
-            self.stats.retried += 1
-
-        try:
-            pool.run(
-                [(k, shard) for k, shard in enumerate(shards)],
-                keep_going=self.keep_going,
-                on_point=on_point,
-                on_failure=on_failure,
-                on_retry=on_retry,
-            )
-        except PointExecutionError as exc:
-            # Fail-fast: surface the first member point, not the shard.
-            raise PointExecutionError(expand_failure(exc.failure)[0]) from exc
-        done = set(abatch)
-        return [i for i in pending if i not in done]
 
     def _record(
         self,

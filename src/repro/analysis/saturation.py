@@ -20,9 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..routing.base import RoutingAlgorithm
 from ..simulation.config import SimulationConfig
-from ..simulation.engine import WormholeSimulator
 from ..simulation.metrics import SimulationResult
-from .runner import ParallelSweepRunner, PointSpec, point_spec
+from .runner import ParallelSweepRunner, run_live_points
 
 
 @dataclass
@@ -73,40 +72,6 @@ class _Search:
         return self.done
 
 
-def _run_probe_batch(
-    probes: Sequence[Tuple[_Search, float]],
-    base_config: SimulationConfig,
-    runner: Optional[ParallelSweepRunner],
-) -> List[SimulationResult]:
-    """One simulation per (search, load) item, in item order.
-
-    Spec-representable probes go through the runner (pool + cache); the
-    rest run inline.  Without a runner everything runs inline, which is
-    byte-for-byte the historical serial behaviour.
-    """
-    results: List[Optional[SimulationResult]] = [None] * len(probes)
-    batch: List[PointSpec] = []
-    batch_indices: List[int] = []
-    for i, (search, load) in enumerate(probes):
-        config = base_config.with_load(load)
-        if runner is not None:
-            try:
-                spec = point_spec(search.algorithm, search.pattern, config)
-            except ValueError:
-                pass
-            else:
-                batch.append(spec)
-                batch_indices.append(i)
-                continue
-        results[i] = WormholeSimulator(
-            search.algorithm, search.pattern, config
-        ).run()
-    if batch:
-        for i, result in zip(batch_indices, runner.run_points(batch)):
-            results[i] = result
-    return results  # type: ignore[return-value]
-
-
 def find_saturation_many(
     pairs: Sequence[Tuple[RoutingAlgorithm, object]],
     base_config: Optional[SimulationConfig] = None,
@@ -127,10 +92,17 @@ def find_saturation_many(
         base_config = SimulationConfig()
     searches = [_Search(a, p, low, high) for a, p in pairs]
 
+    def probe(batch: List[_Search], loads: List[float]) -> list:
+        return run_live_points(
+            [
+                (s.algorithm, s.pattern, base_config.with_load(load))
+                for s, load in zip(batch, loads)
+            ],
+            runner,
+        )
+
     # Ceiling probes: ``high`` must be unsustainable (raised once if not).
-    top = _run_probe_batch(
-        [(s, s.high) for s in searches], base_config, runner
-    )
+    top = probe(searches, [s.high for s in searches])
     doubled: List[_Search] = []
     for search, result in zip(searches, top):
         search.probes += 1
@@ -138,9 +110,7 @@ def find_saturation_many(
             search.high *= 2
             doubled.append(search)
     if doubled:
-        retop = _run_probe_batch(
-            [(s, s.high) for s in doubled], base_config, runner
-        )
+        retop = probe(doubled, [s.high for s in doubled])
         for search, result in zip(doubled, retop):
             search.probes += 1
             if _sustainable(result):
@@ -153,9 +123,7 @@ def find_saturation_many(
         if not active:
             break
         mids = [(s.low + s.high) / 2 for s in active]
-        results = _run_probe_batch(
-            list(zip(active, mids)), base_config, runner
-        )
+        results = probe(active, mids)
         for search, mid, result in zip(active, mids, results):
             search.probes += 1
             if _sustainable(result):

@@ -334,15 +334,9 @@ def run_selection_comparison(
                             )
                         )
                         index.append((policy, algorithm, pattern, num_faults))
-    if runner is not None:
-        results = runner.run_points(specs, progress=progress)
-    else:
-        results = []
-        for spec in specs:
-            result = spec.execute()
-            results.append(result)
-            if progress is not None:
-                progress(result)
+    if runner is None:
+        runner = ParallelSweepRunner(jobs=1, cache=None)
+    results = runner.run_points(specs, progress=progress)
     cells: Dict[Tuple[str, str, str, int], SelectionSeries] = {}
     for key, result in zip(index, results):
         series = cells.get(key)

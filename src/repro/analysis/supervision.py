@@ -393,7 +393,6 @@ class SupervisedPool:
         abort: Optional[PointExecutionError] = None
 
         def _attempt_failed(
-            worker: Optional[_Worker],
             task: _Task,
             cause: str,
             duration: float,
@@ -479,7 +478,6 @@ class SupervisedPool:
                             duration = worker.elapsed()
                             exitcode = self._reap(fleet, worker)
                             _attempt_failed(
-                                worker,
                                 task,
                                 "crash",
                                 duration,
@@ -498,7 +496,6 @@ class SupervisedPool:
                         else:
                             _, index, message, tb, duration = reply
                             _attempt_failed(
-                                worker,
                                 task,
                                 "exception",
                                 duration,
@@ -515,9 +512,8 @@ class SupervisedPool:
                             task = worker.task
                             assert task is not None
                             duration = worker.elapsed()
-                            self._reap(fleet, worker, hard=True)
+                            self._reap(fleet, worker)
                             _attempt_failed(
-                                worker,
                                 task,
                                 "timeout",
                                 duration,
@@ -547,11 +543,9 @@ class SupervisedPool:
         return failures
 
     @staticmethod
-    def _reap(
-        fleet: List[_Worker], worker: _Worker, hard: bool = False
-    ) -> Optional[int]:
-        """Remove a dead/hung worker from the fleet, returning its exit
-        code (``hard`` kills it first — the timeout path)."""
+    def _reap(fleet: List[_Worker], worker: _Worker) -> Optional[int]:
+        """Kill a dead or hung worker and remove it from the fleet,
+        returning its exit code."""
         exitcode = worker.kill()
         fleet.remove(worker)
         return exitcode

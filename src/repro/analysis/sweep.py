@@ -13,9 +13,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..routing.base import RoutingAlgorithm
 from ..simulation.config import SimulationConfig
-from ..simulation.engine import WormholeSimulator
 from ..simulation.metrics import SimulationResult
-from .runner import ParallelSweepRunner, PointSpec, point_spec
+from .runner import ParallelSweepRunner, run_live_points
 
 
 @dataclass
@@ -75,23 +74,6 @@ class SweepSeries:
         return lines
 
 
-def _specs_for(
-    algorithm: RoutingAlgorithm,
-    pattern,
-    loads: Sequence[float],
-    base_config: SimulationConfig,
-) -> Optional[List[PointSpec]]:
-    """Picklable specs for one sweep, or None when the algorithm or
-    pattern cannot be rebuilt from a spec (hand-built objects)."""
-    try:
-        return [
-            point_spec(algorithm, pattern, base_config.with_load(load))
-            for load in loads
-        ]
-    except ValueError:
-        return None
-
-
 def run_sweep(
     algorithm: RoutingAlgorithm,
     pattern,
@@ -102,36 +84,14 @@ def run_sweep(
 ) -> SweepSeries:
     """Simulate each offered load in ``loads`` (flits/us/node).
 
-    With a :class:`~repro.analysis.runner.ParallelSweepRunner` the
-    points fan out over its worker pool and result cache; results are
-    bit-identical to the serial path.  Hand-built algorithms/patterns
-    that a worker cannot rebuild from a spec fall back to the serial
-    in-process loop.
+    The points run through ``runner`` (default: inline and uncached;
+    see :func:`~repro.analysis.runner.run_live_points`), so the result
+    is the same for any runner.
     """
-    if base_config is None:
-        base_config = SimulationConfig()
-    pattern_name = getattr(pattern, "name", type(pattern).__name__)
-    if runner is not None:
-        specs = _specs_for(algorithm, pattern, loads, base_config)
-        if specs is not None:
-            results = runner.run_points(specs, progress=progress)
-            return SweepSeries(
-                algorithm=algorithm.name,
-                pattern=pattern_name,
-                results=results,
-            )
-    results = []
-    for load in loads:
-        sim = WormholeSimulator(algorithm, pattern, base_config.with_load(load))
-        result = sim.run()
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return SweepSeries(
-        algorithm=algorithm.name,
-        pattern=pattern_name,
-        results=results,
-    )
+    return compare_algorithms(
+        [algorithm], lambda topology: pattern, loads, base_config, progress,
+        runner,
+    )[0]
 
 
 def compare_algorithms(
@@ -145,56 +105,27 @@ def compare_algorithms(
     """One sweep per algorithm; ``pattern_factory(topology)`` builds the
     workload for each algorithm's topology (they normally share one).
 
-    With a runner, the whole (algorithm x load) grid is submitted as a
-    single batch so the pool stays saturated across series boundaries.
+    The whole (algorithm x load) grid is one runner batch, so a pool
+    stays saturated across series boundaries.
     """
     if base_config is None:
         base_config = SimulationConfig()
-    if runner is not None:
-        batched = _batched_comparison(
-            algorithms, pattern_factory, loads, base_config, progress, runner
-        )
-        if batched is not None:
-            return batched
-    series = []
-    for algorithm in algorithms:
-        pattern = pattern_factory(algorithm.topology)
-        series.append(
-            run_sweep(algorithm, pattern, loads, base_config, progress)
-        )
-    return series
-
-
-def _batched_comparison(
-    algorithms: Sequence[RoutingAlgorithm],
-    pattern_factory: Callable[[object], object],
-    loads: Sequence[float],
-    base_config: SimulationConfig,
-    progress,
-    runner: ParallelSweepRunner,
-) -> Optional[List[SweepSeries]]:
-    """All algorithms' points as one runner batch, or None if any
-    algorithm/pattern is not spec-representable."""
-    all_specs: List[PointSpec] = []
-    spans = []  # (algorithm name, pattern name, offset)
-    for algorithm in algorithms:
-        pattern = pattern_factory(algorithm.topology)
-        specs = _specs_for(algorithm, pattern, loads, base_config)
-        if specs is None:
-            return None
-        spans.append(
-            (
-                algorithm.name,
-                getattr(pattern, "name", type(pattern).__name__),
-                len(all_specs),
-            )
-        )
-        all_specs.extend(specs)
-    results = runner.run_points(all_specs, progress=progress)
+    patterns = [pattern_factory(a.topology) for a in algorithms]
+    results = run_live_points(
+        [
+            (algorithm, pattern, base_config.with_load(load))
+            for algorithm, pattern in zip(algorithms, patterns)
+            for load in loads
+        ],
+        runner,
+        progress,
+    )
     n = len(loads)
     return [
         SweepSeries(
-            algorithm=name, pattern=pat, results=results[off:off + n]
+            algorithm=algorithm.name,
+            pattern=getattr(pattern, "name", type(pattern).__name__),
+            results=results[k * n : (k + 1) * n],
         )
-        for name, pat, off in spans
+        for k, (algorithm, pattern) in enumerate(zip(algorithms, patterns))
     ]

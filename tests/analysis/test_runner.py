@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.analysis import (
+    CampaignJournal,
     ExperimentPreset,
     ParallelSweepRunner,
     PointSpec,
@@ -16,6 +17,7 @@ from repro.analysis import (
     find_saturation,
     find_saturation_many,
     point_spec,
+    run_live_points,
     run_sweep,
 )
 from repro.analysis.runner import (
@@ -575,6 +577,20 @@ class TestSupervisedArraySharding:
         lines = (tmp_path / "journal.jsonl").read_text().splitlines()
         assert len([ln for ln in lines if '"point"' in ln]) >= len(specs)
 
+    def test_unsupervised_array_batch_is_one_inline_pass(self, monkeypatch):
+        from repro.analysis import runner as runner_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an unsupervised array batch used the pool")
+
+        monkeypatch.setattr(runner_module.SupervisedPool, "run", no_pool)
+        specs = [
+            _spec(load=load, config=FAST.with_backend("array"))
+            for load in (0.3, 0.5, 0.7)
+        ]
+        results = ParallelSweepRunner(jobs=2, cache=None).run_points(specs)
+        assert results == [spec.execute() for spec in specs]
+
     def test_failed_shard_expands_to_per_point_failures(self, tmp_path):
         good = [
             _spec(load=load, config=FAST.with_backend("array"))
@@ -586,7 +602,7 @@ class TestSupervisedArraySharding:
         )
         specs = [good[0], bad, good[1]]
         runner = ParallelSweepRunner(
-            jobs=len(specs),  # one point per shard
+            jobs=2,  # shards (0, 1) and (2,): the first holds the bad point
             cache=None,
             keep_going=True,
         )
@@ -600,6 +616,28 @@ class TestSupervisedArraySharding:
                 == _spec(load=specs[i].config.offered_load).execute().to_dict()
             )
         assert runner.stats.failed == 1
+
+    def test_failed_shard_fails_only_its_bad_member_with_one_worker(self):
+        # jobs=1 puts all three points in one shard; the shard fails,
+        # its members rerun alone, and only the bad one fails for good.
+        good = [
+            _spec(load=load, config=FAST.with_backend("array"))
+            for load in (0.3, 0.5)
+        ]
+        bad = _spec(
+            load=0.4, alg="no-such-algorithm",
+            config=FAST.with_backend("array"),
+        )
+        specs = [good[0], bad, good[1]]
+        runner = ParallelSweepRunner(jobs=1, cache=None, keep_going=True)
+        report = runner.run_batch(specs)
+        assert [f.index for f in report.failures] == [1]
+        assert report.failures[0].spec == bad
+        assert report.results[1] is None
+        for i in (0, 2):
+            assert report.results[i] == specs[i].execute()
+        assert runner.stats.failed == 1
+        assert runner.stats.executed == 2
 
     def test_failfast_shard_failure_names_a_member_point(self):
         from repro.analysis.supervision import PointExecutionError
@@ -616,4 +654,73 @@ class TestSupervisedArraySharding:
                                      point_timeout=60.0)
         with pytest.raises(PointExecutionError) as excinfo:
             runner.run_batch(specs)
-        assert excinfo.value.failure.spec in specs
+        # The failed shard splits; the healthy point #0 then completes
+        # and only the bad point fails for good.
+        assert excinfo.value.failure.spec == bad
+        assert excinfo.value.failure.index == 1
+        assert runner.stats.executed == 1
+
+
+class TestPlanIndependence:
+    """One mixed batch gives the same results, accounting, cache and
+    journal under every execution plan the runner has."""
+
+    @staticmethod
+    def _points():
+        mesh = Mesh2D(5, 5)
+
+        class Anonymous(UniformPattern):
+            @property
+            def name(self):
+                return "anonymous"
+
+        points = [
+            (XY(mesh), UniformPattern(mesh), FAST.with_load(0.3)),
+            (WestFirst(mesh), UniformPattern(mesh), FAST.with_load(0.5)),
+            # Hand-built: no registry spec describes it, so it runs inline.
+            (XY(mesh), Anonymous(mesh), FAST.with_load(0.4)),
+        ]
+        if numpy_available():
+            array = FAST.with_backend("array")
+            points += [
+                (XY(mesh), UniformPattern(mesh), array.with_load(0.2)),
+                (WestFirst(mesh), UniformPattern(mesh), array.with_load(0.6)),
+                (XY(mesh), UniformPattern(mesh), array.with_load(0.8)),
+            ]
+        return points
+
+    def test_every_plan_gives_the_same_batch(self, tmp_path):
+        points = self._points()
+        specs = [
+            point_spec(*point) for point in points
+            if point[1].name != "anonymous"
+        ]
+        plans = {
+            "inline": dict(jobs=1),
+            "pool": dict(jobs=2),
+            "supervised": dict(
+                jobs=2, keep_going=True, journal=tmp_path / "journal.jsonl"
+            ),
+            "watchdog": dict(jobs=1, point_timeout=60),
+        }
+        outcomes = {}
+        for name, knobs in plans.items():
+            cache = ResultCache(tmp_path / name)
+            runner = ParallelSweepRunner(cache=cache, **knobs)
+            results = run_live_points(points, runner)
+            runner.close()
+            outcomes[name] = (
+                [r.to_dict() for r in results],
+                runner.stats.executed,
+                len(cache),
+            )
+        expected = outcomes.pop("inline")
+        assert expected[1:] == (len(specs), len(specs))
+        for name, outcome in outcomes.items():
+            assert outcome == expected, name
+        keys = [
+            record["key"]
+            for record in CampaignJournal.read(tmp_path / "journal.jsonl")
+            if record["kind"] == "point"
+        ]
+        assert sorted(keys) == sorted(spec.cache_key() for spec in specs)

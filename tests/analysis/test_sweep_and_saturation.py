@@ -7,6 +7,7 @@ from repro.analysis import (
     adaptive_vs_nonadaptive,
     compare_algorithms,
     find_saturation,
+    find_saturation_many,
     format_figure,
     format_saturation_points,
     format_saturation_summary,
@@ -15,6 +16,11 @@ from repro.analysis import (
 )
 from repro.routing import WestFirst, XY
 from repro.simulation import SimulationConfig
+from repro.simulation.array_engine import (
+    ArrayWormholeSimulator,
+    BatchSimulator,
+    numpy_available,
+)
 from repro.topology import Mesh2D
 from repro.traffic import UniformPattern
 
@@ -185,3 +191,55 @@ class TestLatencyChart:
         assert "legend:" in text
         plain = format_figure("F", series, chart=False)
         assert "legend:" not in plain
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestArrayBackendWithoutRunner:
+    """``config.backend`` reaches the engine when no runner is given."""
+
+    @staticmethod
+    def _count_runs(monkeypatch, *classes):
+        calls = []
+        for cls in classes:
+            def spy(self, run=cls.run):
+                calls.append(type(self).__name__)
+                return run(self)
+
+            monkeypatch.setattr(cls, "run", spy)
+        return calls
+
+    def test_run_sweep_batches_array_points(self, monkeypatch):
+        mesh = Mesh2D(6, 6)
+        calls = self._count_runs(monkeypatch, BatchSimulator)
+        array = run_sweep(
+            XY(mesh), UniformPattern(mesh), [0.2, 0.5],
+            FAST.with_backend("array"),
+        )
+        assert calls == ["BatchSimulator"]
+        event = run_sweep(XY(mesh), UniformPattern(mesh), [0.2, 0.5], FAST)
+        assert array.results == event.results
+
+    def test_find_saturation_probes_on_the_array_engine(self, monkeypatch):
+        mesh = Mesh2D(4, 4)
+        # A lone probe is a one-point task (ArrayWormholeSimulator, the
+        # array engine's batch of one); two searches' probes batch.
+        calls = self._count_runs(
+            monkeypatch, BatchSimulator, ArrayWormholeSimulator
+        )
+        pairs = [
+            (XY(mesh), UniformPattern(mesh)),
+            (WestFirst(mesh), UniformPattern(mesh)),
+        ]
+        array = FAST.with_backend("array")
+        single = find_saturation(
+            *pairs[0], array, high=8.0, iterations=2, runner=None
+        )
+        assert calls.count("ArrayWormholeSimulator") == single.probes
+        many = find_saturation_many(pairs, array, high=8.0, iterations=2)
+        assert "BatchSimulator" in calls
+        assert single == find_saturation(
+            *pairs[0], FAST, high=8.0, iterations=2
+        )
+        assert many == find_saturation_many(
+            pairs, FAST, high=8.0, iterations=2
+        )
