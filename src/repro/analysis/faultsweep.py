@@ -22,7 +22,7 @@ the full schedule.  The ``repro faults`` CLI subcommand fronts
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from ..simulation.config import SimulationConfig
@@ -221,7 +221,7 @@ class FaultCampaign:
         }
 
 
-def run_fault_campaign(
+def campaign_specs(
     topology: str = "mesh:16x16",
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     pattern: str = "uniform",
@@ -230,11 +230,9 @@ def run_fault_campaign(
     base_config: Optional[SimulationConfig] = None,
     seed: int = 0,
     fault_start: int = 0,
-    runner: Optional[ParallelSweepRunner] = None,
-    progress: Optional[Callable[[SimulationResult], None]] = None,
-) -> FaultCampaign:
-    """Run the campaign grid and aggregate it into a
-    :class:`FaultCampaign`.
+) -> List[Tuple[str, int, PointSpec]]:
+    """The campaign grid as ``(algorithm, fault count, spec)`` rows, in
+    the order :func:`run_fault_campaign` runs them.
 
     Fault plans are permanent link failures appearing at cycle
     ``fault_start`` (0 = present from the beginning; a mid-run start
@@ -249,13 +247,11 @@ def run_fault_campaign(
     if fault_start < 0:
         raise ValueError("fault_start must be non-negative")
     algorithms = list(dict.fromkeys(algorithms))
-    fault_counts = list(dict.fromkeys(fault_counts))
     topo = parse_topology_spec(topology)
     if base_config is None:
         base_config = campaign_config()
-    specs: List[PointSpec] = []
-    index = []  # (algorithm, num_faults) per spec
-    for count in fault_counts:
+    rows: List[Tuple[str, int, PointSpec]] = []
+    for count in dict.fromkeys(fault_counts):
         for trial in range(trials):
             plan = FaultPlan.random_links(
                 topo, count, seed=plan_seed(seed, count, trial),
@@ -267,20 +263,44 @@ def run_fault_campaign(
                 seed=base_config.seed + 7_919 * trial,
             )
             for algorithm in algorithms:
-                specs.append(PointSpec(topology, algorithm, pattern, config))
-                index.append((algorithm, count))
+                rows.append(
+                    (algorithm, count, PointSpec(topology, algorithm, pattern, config))
+                )
+    return rows
+
+
+def run_fault_campaign(
+    topology: str = "mesh:16x16",
+    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    pattern: str = "uniform",
+    fault_counts: Sequence[int] = DEFAULT_FAULT_COUNTS,
+    trials: int = 3,
+    base_config: Optional[SimulationConfig] = None,
+    seed: int = 0,
+    fault_start: int = 0,
+    runner: Optional[ParallelSweepRunner] = None,
+    progress: Optional[Callable[[SimulationResult], None]] = None,
+) -> FaultCampaign:
+    """Run the :func:`campaign_specs` grid and aggregate it into a
+    :class:`FaultCampaign`."""
+    algorithms = list(dict.fromkeys(algorithms))
+    fault_counts = list(dict.fromkeys(fault_counts))
+    rows = campaign_specs(
+        topology, algorithms, pattern, fault_counts, trials, base_config,
+        seed, fault_start,
+    )
     if runner is None:
         runner = ParallelSweepRunner(jobs=1, cache=None)
-    results = runner.run_points(specs, progress=progress)
+    results = runner.run_points([spec for _, _, spec in rows], progress=progress)
     cells: Dict[tuple, FaultCell] = {}
-    for (algorithm, count), result in zip(index, results):
+    for (algorithm, count, _), result in zip(rows, results):
         key = (algorithm, count)
         if key not in cells:
             cells[key] = FaultCell(algorithm, count, [])
         cells[key].results.append(result)
     ordered = [
         cells[(algorithm, count)]
-        for algorithm in dict.fromkeys(algorithms)
+        for algorithm in algorithms
         for count in fault_counts
     ]
     return FaultCampaign(

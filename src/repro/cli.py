@@ -56,6 +56,7 @@ from .analysis.faultsweep import (
     DEFAULT_ALGORITHMS,
     DEFAULT_FAULT_COUNTS,
     campaign_config,
+    campaign_specs,
     run_fault_campaign,
 )
 from .analysis.selection import (
@@ -493,22 +494,23 @@ def cmd_figure(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    config = _config(args)
-    runner = make_runner(args)
-    campaign = run_fault_campaign(
+    grid = dict(
         topology=args.topology,
         algorithms=args.algorithms,
         pattern=args.pattern,
         fault_counts=args.faults,
         trials=args.trials,
-        base_config=config,
+        base_config=_config(args),
         seed=args.campaign_seed,
         fault_start=args.fault_start,
-        runner=runner,
-        progress=_progress(args),
     )
+    runner = make_runner(args)
+    campaign = run_fault_campaign(**grid, runner=runner, progress=_progress(args))
     _print_report(args, campaign)
-    _print_array_coverage(args, [config])
+    # The configs the campaign ran: each carries its own fault plan.
+    _print_array_coverage(
+        args, [spec.config for _, _, spec in campaign_specs(**grid)]
+    )
     return finish_runner(runner, args)
 
 

@@ -20,7 +20,9 @@ near-zero bookkeeping so a profiled run stays representative:
 
 The array backend (``backend="array"``) reports the same phases per
 batched kernel pass, with ``route`` folded into ``allocate`` (the LUT
-gathers happen inside the arbitration kernel).  Profiling only observes
+gathers happen inside the arbitration kernel) and no
+``faults``/``retries``/``watchdog`` (a point that needs them runs on
+the event engine).  Profiling only observes
 the clock around each pass, so profiled runs stay bit-identical on both
 backends.
 

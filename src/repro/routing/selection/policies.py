@@ -201,8 +201,8 @@ class ThresholdReroute(SelectionPolicy):
 class RandomChoice(SelectionPolicy):
     """Pick uniformly among the candidates, as offered (one
     ``rng.randrange`` draw from the simulation's RNG per decision — an
-    ablation alternative; the array backend runs it on its scalar
-    member path)."""
+    ablation alternative; the array backend runs it as a whole
+    event-engine run)."""
 
     name = "random"
 

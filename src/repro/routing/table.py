@@ -23,10 +23,10 @@ so nothing is rebuilt per operating point:
   simulators.
 
 Shared answers are never fault-masked and never invalidated: a simulator
-running a fault plan layers its private, invalidatable mask over them
-(the event engine through :class:`~repro.faults.routing.MaskedTables`,
-the array engine with a per-cycle dead-channel mask), so a fault event
-cannot leak into another run.  :meth:`NetworkIndex.affected_nodes` names
+running a fault plan (always the event engine) layers its private,
+invalidatable mask over them through
+:class:`~repro.faults.routing.MaskedTables`, so a fault event cannot
+leak into another run.  :meth:`NetworkIndex.affected_nodes` names
 the nodes whose masked answers a fault event changes.
 
 Every memo returns the algorithm's candidates in the algorithm's order,

@@ -6,7 +6,7 @@ allocation, buffer occupancy, header position/direction, and per-packet
 timers into numpy struct-of-arrays and advances **every in-flight worm
 of every batched operating point** per cycle with boolean-mask kernels.
 :class:`BatchSimulator` stacks B independent operating points (sweep
-points, seeds, fault trials) along one concatenated arena so a full
+points, seeds) along one concatenated arena so a full
 figure sweep is a handful of numpy passes per cycle instead of
 B Python interpreter loops.
 
@@ -14,47 +14,48 @@ B Python interpreter loops.
 ``tests/simulation/test_engine_equivalence.py`` and the golden
 fingerprints; see docs/SIMULATOR.md for the per-feature table): every
 feature is *bit-identical* to the event engine.  Operating points inside
-the *vectorized envelope* — any virtual-channel count, any selection
-policy from ``repro.routing.selection`` (``xy``, ``round-robin``,
-``max-credits``, ``threshold``) with ``fcfs`` input selection — run
-arbitration and movement as numpy kernels whose update order provably
-replays the scalar engine's (head-first flit shifting via a rank walk
-over disjoint chains; two-phase arbitration via a lexsort that computes
-exactly the local-FCFS winner per contested channel).  Fault plans,
-per-packet stall watchdogs with bounded-backoff retries, and the
-streaming collectors (channel-util series, router blocked cycles,
-latency histograms) are vectorized too: failures become per-cycle dead
-masks over the LUT candidate arrays, watchdog ages are array compares,
-and collector counters are scatter-adds over the shared arena.
-Multi-VC points (plain multi-VC mesh, torus dateline classes, escape-VC
-adaptive) widen the arena with a runtime-channel axis — one lane per
-(physical channel, vc) — flatten the per-VC-class candidate sets of
-``repro.routing.virtual`` into the same integer LUTs, reduce the
-(direction, vc) pair columns to the engine's per-direction first-free
-pair before selection, and serialise the one-flit-per-physical-link
-arbitration with the run-rank/lexsort technique so the engine's rotated
-per-member movement order is replayed exactly.  ``PhaseProfiler`` hooks
-do not demote either: a profiled run wraps each kernel pass of the one
-stage list (``_STAGES``) in a clock pair around unchanged state
-transitions, so it stays bit-identical.  Points outside the envelope
-(``random``/``zigzag`` selection — ``random`` draws from the RNG
-mid-arbitration — trace sinks, LUTs past the entry cap) run as one
-whole :class:`~repro.simulation.engine.WormholeSimulator` run each — the
-same code, therefore trivially bit-identical — so the whole
-configuration space is supported and the batch API is uniform.
-:func:`demotion_reasons` names the gate(s) any point failed, and
-:class:`BatchSimulator` counts demotions per reason so silent fast-path
-loss is visible (``repro sweep/faults/bench --backend array`` print the
-coverage fraction).
+the *vectorized envelope* — the paper's fault-free ``xy``/``fcfs``
+sweeps at any virtual-channel count — run arbitration and movement as
+numpy kernels whose update order provably replays the scalar engine's
+(head-first flit shifting via a rank walk over disjoint chains;
+two-phase arbitration via a lexsort that computes exactly the
+local-FCFS winner per contested channel).  Misroute budgets, drain
+windows, channel-load tracking and the streaming collectors
+(channel-util series, router blocked cycles, latency histograms) are
+vectorized too: collector counters are scatter-adds over the shared
+arena.  Multi-VC points (plain multi-VC mesh, torus dateline classes,
+escape-VC adaptive) widen the arena with a runtime-channel axis — one
+lane per (physical channel, vc) — flatten the per-VC-class candidate
+sets of ``repro.routing.virtual`` into the same integer LUTs, grant the
+engine's first free (direction, vc) pair of the lowest free direction,
+and serialise the one-flit-per-physical-link arbitration with the
+run-rank/lexsort technique so the engine's rotated per-member movement
+order is replayed exactly.  ``PhaseProfiler`` hooks do not demote
+either: a profiled run wraps each kernel pass of the one stage list
+(``_STAGES``) in a clock pair around unchanged state transitions, so it
+stays bit-identical.  Points outside the envelope (any other selection
+policy, fault plans, per-packet watchdogs, trace sinks, LUTs past the
+entry cap) run as one whole
+:class:`~repro.simulation.engine.WormholeSimulator` run each — the same
+code, therefore trivially bit-identical — so the whole configuration
+space is supported and the batch API is uniform.  The envelope is drawn
+where batching measured faster (docs/PERFORMANCE.md, "When batching
+wins"): the event engine's streaming worms sleep through faults,
+watchdogs and every selection policy, while kernels sweep every worm
+every cycle.  :func:`demotion_reasons` names the gate(s) any point
+failed, and :class:`BatchSimulator` counts demotions per reason so
+silent fast-path loss is visible (``repro sweep/faults/bench --backend
+array`` print the coverage fraction).
 
-Generation, injection, and the drop/retry/delivery accounting are not
+Generation, injection, and the delivery accounting are not
 reimplemented here: each vectorized member holds the same
 :class:`~repro.simulation.lifecycle.PacketLifecycle` the event engine
 holds, scalar per member (it is event-driven — an arrival calendar —
 and owns the member's ``random.Random(seed)``), and the core only
 mirrors "when is this member next due" into arrays (docs/SIMULATOR.md,
 "Engine structure").  Nothing in the envelope draws from the RNG during
-arbitration, so the streams stay aligned.
+arbitration, and nothing in it drops a packet, so the streams stay
+aligned and ``max_retries`` is inert.
 
 numpy is an optional dependency (``pip install repro[array]``); the
 module imports with numpy absent and every entry point raises a clear
@@ -71,10 +72,8 @@ try:  # numpy is the optional `repro[array]` extra
 except ImportError:  # pragma: no cover - exercised by the minimal-install job
     np = None  # type: ignore[assignment]
 
-from ..faults.plan import CHANNEL_FAULT, FAIL
 from ..observability.profiler import timed
 from ..routing.table import NetworkTables, network_index, shared_tables
-from ..verification.graph import DiGraph
 from .config import SimulationConfig
 from .engine import WormholeSimulator
 from .lifecycle import PacketLifecycle
@@ -103,18 +102,6 @@ _MB_LOW = (1 << 32) - 1
 _MB_HI1 = 1 << 32
 _MB_BOTH = _MB_HI1 | 1
 
-#: Output-selection policies the kernels replay exactly (the LUT columns
-#: are (dim, sign)-sorted and direction-deduped, which is precisely the
-#: ``sorted(options)`` every one of these policies reduces to; none of
-#: them draws from the RNG).  ``random``/``zigzag`` points run on the
-#: event engine.
-_POLICY_CODES: Dict[str, int] = {
-    "xy": 0,
-    "round-robin": 1,
-    "max-credits": 2,
-    "threshold": 3,
-}
-
 _SLOT_FIELDS: Tuple[Tuple[str, int, str], ...] = (
     ("pk_sim", 0, "int64"),
     ("pk_len", 0, "int64"),
@@ -126,13 +113,6 @@ _SLOT_FIELDS: Tuple[Tuple[str, int, str], ...] = (
     ("pk_head_node", 0, "int64"),
     ("pk_head_dir", 0, "int64"),
     ("pk_wait", 0, "int64"),
-    # Waiting-order sequence number: assigned at injection and at every
-    # header arrival, so ascending ``pk_wseq`` over a member's waiting
-    # headers is exactly the event engine's insertion-ordered ``waiting``
-    # dict — the invocation order of stateful selection policies and the
-    # kill order of the per-packet watchdog.
-    ("pk_wseq", 0, "int64"),
-    ("pk_attempt", 0, "int64"),
     ("pk_head_ch", -1, "int64"),
     ("pk_tail_ch", -1, "int64"),
     ("pk_launched", 0, "int64"),
@@ -184,31 +164,35 @@ def demotion_reasons(config: SimulationConfig) -> Tuple[str, ...]:
 
     Empty for points inside the vectorized envelope.  *Every* applicable
     config gate is reported (the scan does not stop at the first one):
-    ``"output-selection"`` for the ``random``/``zigzag`` policies,
-    ``"input-selection"`` for non-``fcfs`` input selection.
-    Runtime-only gates (trace sinks, the LUT entry cap) are appended by
-    :class:`BatchSimulator` — also cumulatively — and surface in its
-    ``demotion_counts``.  Pure python — callable without numpy
-    installed.
+    ``"output-selection"`` for any policy but ``xy``,
+    ``"input-selection"`` for non-``fcfs`` input selection, ``"faults"``
+    for a non-empty fault plan, ``"watchdog"`` for ``packet_timeout >
+    0``.  Runtime-only gates (trace sinks, the LUT entry cap) are
+    appended by :class:`BatchSimulator` — also cumulatively — and
+    surface in its ``demotion_counts``.  Pure python — callable without
+    numpy installed.
     """
     reasons: List[str] = []
-    if config.output_selection not in _POLICY_CODES:
+    if config.output_selection != "xy":
         reasons.append("output-selection")
     if config.input_selection != "fcfs":
         reasons.append("input-selection")
+    if not config.fault_plan.is_empty:
+        reasons.append("faults")
+    if config.packet_timeout > 0:
+        reasons.append("watchdog")
     return tuple(reasons)
 
 
 def vectorized_envelope(config: SimulationConfig) -> bool:
     """Whether this operating point runs on the vectorized kernels.
 
-    Since the envelope widening (fault plans, selection policies,
-    watchdogs/retries, collectors, and multi-VC operation — dateline
-    classes and escape channels included — are all vectorized now) only
-    two config gates remain: an unvectorized output-selection policy
-    (``random`` draws from the RNG mid-arbitration; ``zigzag``) or
-    a non-``fcfs`` input selection.  Outside the envelope the array
-    backend still accepts the point but runs it on the event engine
+    The envelope is the paper's fault-free sweep shape: ``xy`` output
+    and ``fcfs`` input selection, an empty fault plan and no per-packet
+    watchdog, at any virtual-channel count, with any misroute budget,
+    drain window, ``max_retries`` (inert when nothing can drop),
+    channel-load tracking or collector.  Outside it the array backend
+    still accepts the point but runs it as one whole event-engine run
     (bit-identical by construction; see the module docstring and
     docs/SIMULATOR.md).
     """
@@ -228,8 +212,8 @@ def _lut_entries(topology, num_vc: int) -> int:
 
 def _run_ranks(sorted_keys):
     """Rank of each element within its run of equal values (the input
-    must already be sorted); used to serialise per-member policy-pointer
-    updates inside one vectorized pass."""
+    must already be sorted); used to number each member's movers in
+    slot order inside one vectorized pass."""
     first = np.empty(sorted_keys.size, dtype=bool)
     first[0] = True
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
@@ -250,10 +234,6 @@ class _GroupTables:
     for decisions that actually occur.  Kept on the tables' ``array_lut``
     slot, so every batch member and every later batch running the same
     algorithm object reuses them, under the tables' registry bound.
-    Fault masking never touches the LUTs: failures are a runtime
-    ``ch_dead`` mask over the candidate columns (the event engine's
-    order-preserving fault filter commutes with the dedup+sort used
-    here, because only the candidate *set* is observable).
 
     **Multi-VC layout** (``num_vc > 1``): rows gain an arrival-VC axis —
     ``row = ((node*N + dest)*(num_dirs+1) + diridx)*num_vc + in_vc`` with
@@ -263,10 +243,9 @@ class _GroupTables:
     preference within a direction is order-significant — the engine
     grants the first free candidate of the selected direction).  A
     parallel ``cdirk`` column gives each pair's dense direction key
-    (``dir_index``, 1-based) so arbitration can collapse the pair
-    columns to the direction-level ``sorted(options)`` view every
-    selection policy consumes.  Escape tables allocate lazily — most
-    groups never exhaust their minimal candidates.
+    (``dir_index``, 1-based, in (dim, sign) order) so arbitration can
+    find each header's lowest free direction.  Escape tables allocate
+    lazily — most groups never exhaust their minimal candidates.
     """
 
     def __init__(self, tables: NetworkTables) -> None:
@@ -300,7 +279,6 @@ class _GroupTables:
         def per_vc(values):
             return np.repeat(np.asarray(values, dtype=np.int64), num_vc)
 
-        self.t_src = per_vc([c.src for c in physical])
         self.t_dst = per_vc([c.dst for c in physical])
         self.t_dir = per_vc([index.dir_index[c.direction] for c in physical])
         self.t_link = per_vc(range(self.num_links))
@@ -363,15 +341,21 @@ def _group_tables(tables: NetworkTables) -> "_GroupTables":
     return group
 
 
+def _no_drop(packet: Packet, cycle: int, cause: str) -> None:
+    """The injection drop hook of a vectorized member: the lifecycle
+    drops at the source only for a dead destination, and the envelope
+    has no fault plan."""
+    raise AssertionError(f"in-envelope packet dropped at injection ({cause})")
+
+
 class _FastMember:
     """One vectorized-envelope operating point inside a batch.
 
     Holds the member's :class:`~repro.simulation.lifecycle.
     PacketLifecycle` — the source side and accounting it shares with the
     event engine, an injection gate holding the arena slot of the worm
-    using it — plus the scalar twin of the core's fault mask, while
-    arbitration and movement for its worms run inside the core's shared
-    numpy kernels.  The member holds no reference to its
+    using it — while arbitration and movement for its worms run inside
+    the core's shared numpy kernels.  The member holds no reference to its
     :class:`_BatchCore` (every method that touches the arena takes it as
     an argument, and the core refreshes its per-member mirrors of the
     lifecycle's state where it calls it), so a finished batch is freed
@@ -395,80 +379,13 @@ class _FastMember:
         self.frozen = False
         self.inflight = 0
         self._last_cycle = 0
-
-        # Fault state (the scalar twin of the core's ``ch_dead`` mask —
-        # the sets replay FaultState's exact add/discard sequence),
-        # empty for fault-free members.
-        self.fault_schedule: Dict[int, list] = (
-            {} if config.fault_plan.is_empty else config.fault_plan.schedule()
-        )
-        self.dead_routers: set = set()
-        self.dead_channels: set = set()
-        self.life = PacketLifecycle(
-            algorithm, pattern, config, self.dead_routers
-        )
+        self.life = PacketLifecycle(algorithm, pattern, config)
         self.result = self.life.result
         self._series_buckets: List[List[int]] = []
 
         # Assigned by the core once all members are known.
         self.ch_off = 0
         self.node_off = 0
-
-    def _kill(
-        self, core: "_BatchCore", slot: int, cycle: int, cause: str,
-        killed: bool = True,
-    ) -> None:
-        """Remove an in-flight worm: release every held resource, then
-        account the drop (the array twin of the engine's ``_kill``)."""
-        fidx = self.fidx
-        stall = cycle - int(core.pk_wait[slot])
-        if stall > core.m_maxstall[fidx]:
-            core.m_maxstall[fidx] = stall
-        c = int(core.pk_tail_ch[slot])
-        while c >= 0:
-            nxt = int(core.ch_next[c])
-            core.ch_owner[c] = -1
-            core.ch_held[c] = False
-            core.ch_freed[c] = True
-            core._any_freed = True
-            core.ch_mb[c] = 0
-            core.ch_prev[c] = -1
-            core.ch_next[c] = -1
-            c = nxt
-        core.pk_tail_ch[slot] = -1
-        core.pk_head_ch[slot] = -1
-        src = int(core.pk_src[slot])
-        if self.life.injection_busy[src] == slot:
-            if self.life.release_injection(src):
-                core.m_pending[fidx] = True
-        dst = int(core.pk_dst[slot])
-        if core.ej_owner[self.node_off + dst] == slot:
-            core.ej_owner[self.node_off + dst] = -1
-        core.pk_state[slot] = _DONE
-        core.pk_arbwait[slot] = False
-        core.pk_dormant[slot] = False
-        core._live_dirty = True
-        self.inflight -= 1
-        core.m_inflight[fidx] -= 1
-        self._drop(
-            core, src, dst, int(core.pk_len[slot]),
-            int(core.pk_created[slot]), int(core.pk_attempt[slot]), cycle,
-            cause, killed,
-        )
-
-    def _drop(
-        self, core: "_BatchCore", src: int, dst: int, length: int,
-        created: int, attempt: int, cycle: int, cause: str,
-        killed: bool = False,
-    ) -> None:
-        """Account one drop and mirror the retry it may have scheduled."""
-        fidx = self.fidx
-        core.m_lastprog[fidx] = cycle  # freed resources are progress
-        due = self.life.account_drop(
-            src, dst, length, created, attempt, cycle, cause, killed
-        )
-        if due is not None and due < core.m_nextretry[fidx]:
-            core.m_nextretry[fidx] = due
 
     def _deliver(self, core: "_BatchCore", slot: int, cycle: int) -> None:
         core.ej_owner[self.node_off + int(core.pk_dst[slot])] = -1
@@ -490,13 +407,10 @@ class _FastMember:
 #: gather inside ``allocate`` (no ``route`` phase); ``collect`` is the
 #: collectors' end-of-cycle pass the event engine runs inline.
 _STAGES = (
-    ("faults", "_faults_pass"),
-    ("retries", "_retries_pass"),
     ("generate", "_generate_pass"),
     ("inject", "_inject_pass"),
     ("allocate", "_arbitrate_vec"),
     ("advance", "_move_vec"),
-    ("watchdog", "_watchdog_pass"),
     ("collect", "_collect_pass"),
 )
 
@@ -576,7 +490,6 @@ class _BatchCore:
         self.ch_mb = np.zeros(total_ch, dtype=np.int64)
         self.ch_prev = np.full(total_ch, -1, dtype=np.int64)
         self.ch_next = np.full(total_ch, -1, dtype=np.int64)
-        self.ch_src_local = template("t_src")
         self.ch_dst_local = template("t_dst")
         self.ch_dir = template("t_dir")
         self.ch_link = template("t_link") + per_lane(link_offs)
@@ -588,7 +501,6 @@ class _BatchCore:
         self.ch_multi = per_lane([m.num_vc > 1 for m in self.fast], bool)
         self._any_vc = bool(self.ch_multi.any())
         self._all_vc = bool(self.ch_multi.all())
-        self.total_links = link_off
         # Wave-loop scratch (allocated once; reset per touched link).
         self._link_min = np.full(link_off + 1, _NEVER, dtype=np.int64)
         self._link_taken = np.full(link_off + 1, _NEVER, dtype=np.int64)
@@ -679,40 +591,6 @@ class _BatchCore:
             dtype=np.float64,
         )
 
-        # -- selection-policy state (pointer counters live per member,
-        # exactly like the per-simulator policy instances they replay)
-        self.m_policy = np.asarray(
-            [_POLICY_CODES[m.config.output_selection] for m in self.fast],
-            dtype=np.int64,
-        )
-        self.m_threshold = np.asarray(
-            [m.config.selection_threshold for m in self.fast], dtype=np.int64
-        )
-        self.m_rrptr = np.zeros(nfast, dtype=np.int64)
-        self.m_mcptr = np.zeros(nfast, dtype=np.int64)
-        self._needs_policy = bool((self.m_policy != 0).any())
-        needs_cong = bool((self.m_policy >= 2).any())
-
-        # -- watchdog / retry / fault timers
-        self.m_timeout = np.asarray(
-            [m.config.packet_timeout for m in self.fast], dtype=np.int64
-        )
-        self.m_maxstall = np.zeros(nfast, dtype=np.int64)
-        self.m_nextretry = np.full(nfast, _NEVER, dtype=np.int64)
-        self.m_nextfault = np.asarray(
-            [
-                min(m.fault_schedule) if m.fault_schedule else _NEVER
-                for m in self.fast
-            ],
-            dtype=np.int64,
-        )
-        self._any_timeout = bool((self.m_timeout > 0).any())
-        self._any_faults = bool((self.m_nextfault != _NEVER).any())
-        self._any_drops = self._any_faults or self._any_timeout
-        self.ch_dead = (
-            np.zeros(total_ch, dtype=bool) if self._any_faults else None
-        )
-
         # -- collector state
         self.m_blocked = np.asarray(
             [m.config.collect_router_blocked for m in self.fast], dtype=bool
@@ -737,37 +615,8 @@ class _BatchCore:
             self.node_blocked is not None or self.ch_series is not None
         )
 
-        # -- congestion view (policies >= max-credits): per-node credit
-        # and occupancy sums over the shared arena, recomputed at most
-        # once per cycle and frozen during arbitration exactly like
-        # EngineCongestionView (grants and moves happen after the scan).
-        if needs_cong:
-            noff = per_lane([m.node_off for m in self.fast])
-            self.ch_src_g = self.ch_src_local + noff
-            self.ch_dst_g = self.ch_dst_local + noff
-            depth_nodes: List[int] = []
-            for m in self.fast:
-                depth_nodes.extend(
-                    [m.config.buffer_depth] * m.topology.num_nodes
-                )
-            self.node_depth = np.asarray(depth_nodes, dtype=np.int64)
-            self.node_liveout = np.bincount(
-                self.ch_src_g, minlength=total_nodes
-            ).astype(np.int64)
-            self.node_capacity = self.node_liveout * self.node_depth
-            self._occ = np.zeros(total_nodes, dtype=np.int64)
-            self._cred = np.zeros(total_nodes, dtype=np.int64)
-            self._cong_cycle = -1
-        else:
-            self.ch_src_g = None
-            self.ch_dst_g = None
-            self.node_depth = None
-            self.node_liveout = None
-            self.node_capacity = None
-
         # -- slot arena (append-only; grown geometrically)
         self.n_slots = 0
-        self._wseq = 0
         cap = 4096
         for name, fill, dtype in _SLOT_FIELDS:
             setattr(self, name, np.full(cap, fill, dtype=dtype))
@@ -812,9 +661,6 @@ class _BatchCore:
         self.pk_head_node[slot] = packet.src
         self.pk_head_dir[slot] = 0  # 0 encodes "no arrival direction yet"
         self.pk_wait[slot] = cycle
-        self.pk_wseq[slot] = self._wseq
-        self._wseq += 1
-        self.pk_attempt[slot] = packet.attempt
         self.pk_head_ch[slot] = -1
         self.pk_tail_ch[slot] = -1
         self.pk_launched[slot] = 0
@@ -857,117 +703,6 @@ class _BatchCore:
         # for the finalize-time accounting).
         self.ch_held[member.ch_off : member.ch_off + member.num_ch] = False
 
-    # -- faults (scalar engine ports over the shared arena) ------------------
-
-    def _apply_faults(self, member: _FastMember, cycle: int) -> None:
-        """Fire the member's fault plan for this cycle: kill the worms
-        the failures touch (in the event engine's exact victim order),
-        refresh the runtime dead mask, and wake every parked header
-        (their watch sets may be stale against the new masks)."""
-        fidx = member.fidx
-        events = member.fault_schedule.pop(cycle, None)
-        schedule = member.fault_schedule
-        self.m_nextfault[fidx] = min(schedule) if schedule else _NEVER
-        if not events:
-            return
-        # Compact away slots delivered/killed in earlier cycles so the
-        # victim scans below see exactly the live worms.
-        self._refresh_live()
-        channel_index = self.groups[int(self.f_group[fidx])].index.channel_index
-        for action, event in events:
-            if event.kind == CHANNEL_FAULT:
-                key = (event.node, event.direction)
-                if action == FAIL:
-                    member.dead_channels.add(key)
-                    cid = channel_index.get(key)
-                    if cid is not None:
-                        # A failed physical channel takes every runtime
-                        # VC lane with it; holders die in ascending VC
-                        # order (the engine's _kill_channel_holders).
-                        base = member.ch_off + cid * member.num_vc
-                        for rt in range(base, base + member.num_vc):
-                            holder = int(self.ch_owner[rt])
-                            if holder >= 0:
-                                member._kill(self, holder, cycle, "link-failure")
-                else:
-                    member.dead_channels.discard(key)
-            else:
-                node = event.node
-                if action == FAIL:
-                    member.dead_routers.add(node)
-                    self._kill_router_worms(member, node, cycle)
-                    member.life.router_failed(node)
-                else:
-                    member.dead_routers.discard(node)
-                    if member.life.router_healed(node):
-                        self.m_pending[fidx] = True
-        self._recompute_dead(member)
-        # The engine's ``_wake_all``: un-park every header of this
-        # member — candidate masks changed under it.
-        live = self.live
-        if live.size:
-            self.pk_arbwait[live[self.pk_sim[live] == fidx]] = False
-
-    def _kill_router_worms(self, member: _FastMember, node: int, cycle: int) -> None:
-        """Kill every worm whose header sits at, or whose body crosses,
-        the failed router (ascending slot order = the event engine's
-        insertion-ordered ``active`` scan)."""
-        live = self.live
-        mine = live[self.pk_sim[live] == member.fidx]
-        victims: List[int] = []
-        for slot in mine:
-            slot = int(slot)
-            if self.pk_state[slot] == _DONE:
-                continue  # killed by an earlier event in this batch
-            if int(self.pk_head_node[slot]) == node:
-                victims.append(slot)
-                continue
-            c = int(self.pk_tail_ch[slot])
-            while c >= 0:
-                if (
-                    int(self.ch_src_local[c]) == node
-                    or int(self.ch_dst_local[c]) == node
-                ):
-                    victims.append(slot)
-                    break
-                c = int(self.ch_next[c])
-        for slot in victims:
-            member._kill(self, slot, cycle, "router-failure")
-
-    def _recompute_dead(self, member: _FastMember) -> None:
-        """Rebuild the member's slice of the runtime dead-channel mask
-        (FaultState.channel_dead over the LUT channel universe) and,
-        when congestion policies are live, its per-node output degree."""
-        channel_index = (
-            self.groups[int(self.f_group[member.fidx])].index.channel_index
-        )
-        lo = member.ch_off
-        hi = lo + member.num_ch
-        dead = np.zeros(member.num_ch, dtype=bool)
-        nvc = member.num_vc
-        for key in member.dead_channels:
-            cid = channel_index.get(key)
-            if cid is not None:
-                dead[cid * nvc : (cid + 1) * nvc] = True
-        if member.dead_routers:
-            routers = np.fromiter(
-                member.dead_routers, dtype=np.int64,
-                count=len(member.dead_routers),
-            )
-            dead |= np.isin(self.ch_src_local[lo:hi], routers)
-            dead |= np.isin(self.ch_dst_local[lo:hi], routers)
-        self.ch_dead[lo:hi] = dead
-        if self.node_liveout is not None:
-            nlo = member.node_off
-            n = member.topology.num_nodes
-            degree = np.bincount(
-                self.ch_src_local[lo:hi][~dead], minlength=n
-            )
-            self.node_liveout[nlo : nlo + n] = degree
-            self.node_capacity[nlo : nlo + n] = (
-                degree * member.config.buffer_depth
-            )
-
     # -- stage 2: arbitration (vectorized two-phase) -------------------------
 
     def _arbitrate_vec(self, cycle: int) -> None:
@@ -1002,8 +737,7 @@ class _BatchCore:
         if routing.size:
             if len(self.groups) == 1:
                 self._collect_requests(
-                    self.groups[0], routing, req_slots, req_ch, req_mis,
-                    cycle,
+                    self.groups[0], routing, req_slots, req_ch, req_mis
                 )
             else:
                 grp = self.f_group[self.pk_sim[routing]]
@@ -1011,8 +745,7 @@ class _BatchCore:
                     sel = grp == gi
                     if sel.any():
                         self._collect_requests(
-                            tables, routing[sel], req_slots, req_ch, req_mis,
-                            cycle,
+                            tables, routing[sel], req_slots, req_ch, req_mis
                         )
         if req_slots:
             slots = np.concatenate(req_slots)
@@ -1055,21 +788,19 @@ class _BatchCore:
 
     def _collect_requests(
         self, tables: NetworkTables, slots, req_slots, req_ch, req_mis,
-        cycle: int,
     ) -> None:
         group: _GroupTables = tables.array_lut
         sims = self.pk_sim[slots]
         node = self.pk_head_node[slots]
         dest = self.pk_dst[slots]
-        num_vc = group.num_vc
         rows = (
             (node * group.N + dest) * (group.num_dirs + 1)
             + self.pk_head_dir[slots]
         )
-        if num_vc > 1:
+        if group.num_vc > 1:
             # Multi-VC rows carry the arrival-VC class (pk_head_vc is 0
             # pre-injection, exactly the engine's in_vc=None memo key).
-            rows = rows * num_vc + self.pk_head_vc[slots]
+            rows = rows * group.num_vc + self.pk_head_vc[slots]
         group.ensure_rows(tables, rows, escape=False)
         offs = self.f_ch_off[sims][:, None]
         cand = group.cand[rows]
@@ -1077,50 +808,16 @@ class _BatchCore:
         # -1 padding entries index a wrong-but-in-bounds channel; the
         # ``valid`` mask discards whatever they read.
         gchan = cand + offs
-        if self.ch_dead is not None:
-            # Runtime fault mask: a dead candidate is neither requestable
-            # nor worth parking on (its release cannot wake anyone) —
-            # the FaultAwareRouting filter, applied to the LUT columns.
-            valid = valid & ~self.ch_dead[gchan]
         free = valid & (self.ch_owner[gchan] < 0)
         has = free.any(axis=1)
         idx = np.nonzero(has)[0]
-        # Selection policies beyond xy need the full free mask per
-        # header, not just the first free column; route those requesters
-        # through the policy picker below.
-        policied = self._needs_policy and bool(
-            (self.m_policy[sims] != 0).any()
-        )
-        sel_slots: List = []
-        sel_free: List = []
-        sel_gchan: List = []
-        sel_mis: List = []
         if idx.size:
-            if num_vc > 1:
-                dfree, dgchan, dmis = self._reduce_vc(
-                    group, rows[idx], free[idx], gchan[idx], escape=False
-                )
-                if policied:
-                    sel_slots.append(slots[idx])
-                    sel_free.append(dfree)
-                    sel_gchan.append(dgchan)
-                    sel_mis.append(dmis)
-                else:
-                    pick = dfree.argmax(axis=1)
-                    ar = np.arange(idx.size)
-                    req_slots.append(slots[idx])
-                    req_ch.append(dgchan[ar, pick])
-                    req_mis.append(dmis[ar, pick])
-            elif policied:
-                sel_slots.append(slots[idx])
-                sel_free.append(free[idx])
-                sel_gchan.append(gchan[idx])
-                sel_mis.append(group.cmis[rows[idx]])
-            else:
-                pick = free[idx].argmax(axis=1)
-                req_slots.append(slots[idx])
-                req_ch.append(gchan[idx, pick])
-                req_mis.append(group.cmis[rows[idx], pick])
+            chans, mis = self._xy_pick(
+                group, rows[idx], free[idx], gchan[idx], escape=False
+            )
+            req_slots.append(slots[idx])
+            req_ch.append(chans)
+            req_mis.append(mis)
         # Misroute escapes: only headers with zero free minimal
         # candidates and misroute budget left consult the escape table.
         bidx = np.nonzero(~has)[0]
@@ -1144,8 +841,6 @@ class _BatchCore:
                 cand = group.esc[erows]
                 valid = cand >= 0
                 gchan = cand + offs[bidx][eidx]
-                if self.ch_dead is not None:
-                    valid = valid & ~self.ch_dead[gchan]
                 wch[eidx[:, None], K + np.arange(K)[None, :]] = np.where(
                     valid, gchan, pad
                 )
@@ -1153,32 +848,13 @@ class _BatchCore:
                 has = free.any(axis=1)
                 fidx = np.nonzero(has)[0]
                 if fidx.size:
-                    if num_vc > 1:
-                        dfree, dgchan, dmis = self._reduce_vc(
-                            group, erows[fidx], free[fidx], gchan[fidx],
-                            escape=True,
-                        )
-                        if policied:
-                            sel_slots.append(bslots[eidx[fidx]])
-                            sel_free.append(dfree)
-                            sel_gchan.append(dgchan)
-                            sel_mis.append(dmis)
-                        else:
-                            pick = dfree.argmax(axis=1)
-                            ar = np.arange(fidx.size)
-                            req_slots.append(bslots[eidx[fidx]])
-                            req_ch.append(dgchan[ar, pick])
-                            req_mis.append(dmis[ar, pick])
-                    elif policied:
-                        sel_slots.append(bslots[eidx[fidx]])
-                        sel_free.append(free[fidx])
-                        sel_gchan.append(gchan[fidx])
-                        sel_mis.append(group.emis[erows[fidx]])
-                    else:
-                        pick = free[fidx].argmax(axis=1)
-                        req_slots.append(bslots[eidx[fidx]])
-                        req_ch.append(gchan[fidx, pick])
-                        req_mis.append(group.emis[erows[fidx], pick])
+                    chans, mis = self._xy_pick(
+                        group, erows[fidx], free[fidx], gchan[fidx],
+                        escape=True,
+                    )
+                    req_slots.append(bslots[eidx[fidx]])
+                    req_ch.append(chans)
+                    req_mis.append(mis)
                     requested[eidx[fidx]] = True
             # Headers that produced no request at all park until one of
             # their wait channels is released (see ``_arbitrate_vec``).
@@ -1189,161 +865,22 @@ class _BatchCore:
                 if 2 * K < self._wwidth:
                     self.pk_wchan[pslots, 2 * K :] = pad
                 self.pk_arbwait[pslots] = True
-        if sel_slots:
-            aslots = np.concatenate(sel_slots)
-            afree = np.vstack(sel_free)
-            agchan = np.vstack(sel_gchan)
-            amis = np.vstack(sel_mis)
-            pick = self._select_cols(aslots, afree, agchan, cycle)
-            rows_ar = np.arange(aslots.size)
-            req_slots.append(aslots)
-            req_ch.append(agchan[rows_ar, pick])
-            req_mis.append(amis[rows_ar, pick])
 
-    def _reduce_vc(self, group: _GroupTables, rows, free, gchan, escape: bool):
-        """Collapse (direction, vc) pair columns to direction-level
-        columns in dense (dim, sign) order.
-
-        The engine's arbitration deduplicates the free pairs to a
-        direction list for the selection policy, then grants the *first*
-        free pair of the chosen direction (the algorithm's VC preference
-        order — which the VC LUT columns preserve).  Reduced column
-        ``d-1`` is therefore free iff direction ``d`` has a free pair,
-        and carries that first pair's runtime channel and misroute flag.
-        Every selection policy consumes ``sorted(options)``, which is
-        exactly the reduced (dim, sign) column order — so the reduced
-        matrices feed the single-VC policy kernels unchanged.
-        """
-        dirk = (group.edirk if escape else group.cdirk)[rows]
-        mism = (group.emis if escape else group.cmis)[rows]
-        nd = group.num_dirs
-        n = free.shape[0]
-        ar = np.arange(n)
-        dfree = np.zeros((n, nd), dtype=bool)
-        dgchan = np.zeros((n, nd), dtype=np.int64)
-        dmis = np.zeros((n, nd), dtype=np.int64)
-        for d in range(1, nd + 1):
-            m = free & (dirk == d)
-            col = m.argmax(axis=1)
-            dfree[:, d - 1] = m[ar, col]
-            # Rows without a free pair in this direction read column 0 —
-            # a real in-bounds channel of some other direction; the
-            # ``dfree`` gate discards it everywhere downstream.
-            dgchan[:, d - 1] = gchan[ar, col]
-            dmis[:, d - 1] = mism[ar, col]
-        return dfree, dgchan, dmis
-
-    # -- vectorized output-selection policies --------------------------------
-
-    def _congestion(self, cycle: int):
-        """Per-node (occupancy, credits, live out-degree) over the whole
-        arena — the vectorized EngineCongestionView.  Computed at most
-        once per cycle: arbitration reads a frozen snapshot (grants and
-        flit movement happen only after every request is collected,
-        exactly as in the event engine), and dead channels hold no flits
-        (their owners were killed when they failed)."""
-        if self._cong_cycle != cycle:
-            self._cong_cycle = cycle
-            occ = self._occ
-            occ[:] = 0
-            held = np.nonzero(self.ch_held)[0]
-            if held.size:
-                np.add.at(
-                    occ, self.ch_src_g[held], self.ch_mb[held] & _MB_LOW
-                )
-            np.subtract(self.node_capacity, occ, out=self._cred)
-        return self._occ, self._cred, self.node_liveout
-
-    def _select_cols(self, slots, free, gchan, cycle: int):
-        """Pick one free LUT column per requesting header, replaying
-        each member's selection policy exactly.
-
-        The LUT columns are (dim, sign)-sorted and direction-deduped, so
-        the free columns of a row are precisely the policy's
-        ``sorted(options)`` list.  Stateful pointers (round-robin,
-        max-credits tie-break) advance in each member's waiting order —
-        ``pk_wseq`` — which is the event engine's policy invocation
-        order; a lexsort + within-member rank serialises the whole batch
-        in one pass.
-        """
-        sims = self.pk_sim[slots]
-        pol = self.m_policy[sims]
-        # Default: first free column == min(options) — xy preference and
-        # the fallback every congestion policy reduces to on missing data.
+    def _xy_pick(self, group: _GroupTables, rows, free, gchan, escape: bool):
+        """The xy output-selection winner of each requesting header, as
+        (runtime channel, misroute flag) arrays: its first free LUT
+        column.  Single-VC columns are xy-sorted.  Multi-VC columns keep
+        the algorithm's VC preference order within a direction, and the
+        engine grants the first free pair of the lowest (dim, sign)
+        direction that has one — so the columns outside the lowest free
+        direction key are masked off first."""
+        if group.num_vc > 1:
+            dirk = (group.edirk if escape else group.cdirk)[rows]
+            lowest = np.where(free, dirk, group.num_dirs + 1).min(axis=1)
+            free = free & (dirk == lowest[:, None])
         pick = free.argmax(axis=1)
-        rr = np.nonzero(pol == 1)[0]
-        if rr.size:
-            order = np.lexsort((self.pk_wseq[slots[rr]], sims[rr]))
-            rrs = rr[order]
-            so = sims[rrs]
-            rank = _run_ranks(so)
-            frr = free[rrs]
-            k = (self.m_rrptr[so] + rank) % frr.sum(axis=1)
-            csum = frr.cumsum(axis=1)
-            # First column where the running free count hits k+1 is the
-            # (k+1)-th free direction in (dim, sign) order.
-            pick[rrs] = (csum == (k + 1)[:, None]).argmax(axis=1)
-            np.add.at(self.m_rrptr, so, 1)
-        if not bool((pol >= 2).any()):
-            return pick
-        occ, cred, liveout = self._congestion(cycle)
-        mc = np.nonzero(pol == 2)[0]
-        if mc.size:
-            frm = free[mc]
-            dstg = self.ch_dst_g[gchan[mc]]
-            data = liveout[dstg] > 0
-            # Any free option whose downstream has no live outputs →
-            # credits are None → static preference, pointer untouched.
-            bad = (frm & ~data).any(axis=1)
-            credm = np.where(frm, cred[dstg], -1)
-            best = credm.max(axis=1)
-            is_best = frm & (credm == best[:, None])
-            ties = is_best.sum(axis=1)
-            single = np.nonzero(~bad & (ties == 1))[0]
-            if single.size:
-                pick[mc[single]] = is_best[single].argmax(axis=1)
-            multi = np.nonzero(~bad & (ties > 1))[0]
-            if multi.size:
-                tied_rows = mc[multi]
-                order = np.lexsort(
-                    (self.pk_wseq[slots[tied_rows]], sims[tied_rows])
-                )
-                ro = tied_rows[order]
-                so = sims[ro]
-                rank = _run_ranks(so)
-                tb = is_best[multi[order]]
-                k = (self.m_mcptr[so] + rank) % tb.sum(axis=1)
-                csum = tb.cumsum(axis=1)
-                pick[ro] = (csum == (k + 1)[:, None]).argmax(axis=1)
-                np.add.at(self.m_mcptr, so, 1)
-        th = np.nonzero(pol == 3)[0]
-        if th.size:
-            frt = free[th]
-            nopts = frt.sum(axis=1)
-            gth = gchan[th]
-            rows_ar = np.arange(th.size)
-            pref_dst = self.ch_dst_g[gth[rows_ar, pick[th]]]
-            # Reroute only when there are alternatives, the preferred
-            # downstream has data, and its occupancy crossed the line.
-            hot = (
-                (nopts > 1)
-                & (liveout[pref_dst] > 0)
-                & (occ[pref_dst] >= self.m_threshold[sims[th]])
-            )
-            hidx = np.nonzero(hot)[0]
-            if hidx.size:
-                dstg = self.ch_dst_g[gth[hidx]]
-                frh = frt[hidx]
-                data = liveout[dstg] > 0
-                ok = ~(frh & ~data).any(axis=1)
-                oidx = hidx[ok]
-                if oidx.size:
-                    credm = np.where(
-                        frt[oidx], cred[self.ch_dst_g[gth[oidx]]], -1
-                    )
-                    # First occurrence of the max = the strict-> scan.
-                    pick[th[oidx]] = credm.argmax(axis=1)
-        return pick
+        mis = group.emis if escape else group.cmis
+        return gchan[np.arange(rows.size), pick], mis[rows, pick]
 
     def _grant_channels(self, slots, chans, mis, cycle: int) -> None:
         sims = self.pk_sim[slots]
@@ -1518,24 +1055,6 @@ class _BatchCore:
                 self.pk_head_dir[slots] = self.ch_dir[head]
                 self.pk_head_vc[slots] = self.ch_vc[head]
                 self.pk_wait[slots] = cycle
-                # Re-entering the waiting set: within a member, arrival
-                # order this cycle is the engine's mover order —
-                # ascending slot, except multi-VC members walk their
-                # movers in rotated-rank order.
-                if self._any_vc:
-                    simsa = self.pk_sim[slots]
-                    key = np.where(
-                        self.f_numvc[simsa] > 1, self.pk_order[slots], slots
-                    )
-                    aord = np.lexsort((key, simsa))
-                    self.pk_wseq[slots[aord]] = self._wseq + np.arange(
-                        slots.size, dtype=np.int64
-                    )
-                else:
-                    self.pk_wseq[slots] = self._wseq + np.arange(
-                        slots.size, dtype=np.int64
-                    )
-                self._wseq += int(slots.size)
                 pk_state[slots] = np.where(
                     dstloc == self.pk_dst[slots], _EJECT_WAIT, _ROUTING
                 )
@@ -1879,43 +1398,11 @@ class _BatchCore:
                 taken[link] = order_w
         return out
 
-    # -- post-move stages: watchdog + collectors -----------------------------
-
-    def _watchdog_pass(self, cycle: int) -> None:
-        """The event engine's post-move stall watchdog, batched."""
-        if not self._any_timeout:
-            return
-        live = self.live
-        state = self.pk_state[live]
-        waits = live[(state == _ROUTING) | (state == _EJECT_WAIT)]
-        if waits.size == 0:
-            return
-        sims = self.pk_sim[waits]
-        timed = self.m_timeout[sims] > 0
-        if timed.any():
-            tw = waits[timed]
-            ts = sims[timed]
-            age = cycle - self.pk_wait[tw]
-            np.maximum.at(self.m_maxstall, ts, age)
-            over = age > self.m_timeout[ts]
-            if over.any():
-                victims = tw[over]
-                vsims = ts[over]
-                # Per member: one wait-for graph over the pre-kill
-                # waiting set, then kills in waiting (wseq) order —
-                # the engine's exact sequence.
-                for f in np.unique(vsims):
-                    self._timeout_kill(
-                        self.fast[int(f)],
-                        waits[sims == f],
-                        victims[vsims == f],
-                        cycle,
-                    )
-                self._refresh_live()
+    # -- post-move stage: collectors ------------------------------------------
 
     def _collect_pass(self, cycle: int) -> None:
         """The collectors' ``on_cycle_end``, batched: blocked counting
-        sees the post-watchdog waiting set, as in the engine."""
+        sees the post-movement waiting set, as in the engine."""
         if not self._any_collect:
             return
         if self.node_blocked is not None:
@@ -1951,62 +1438,6 @@ class _BatchCore:
                     nxt if nxt < member.config.generation_cycles else _NEVER
                 )
 
-    def _timeout_kill(self, member: _FastMember, waits, victims, cycle: int) -> None:
-        """Kill one member's over-age headers, classifying each against
-        the wait-for graph (circular wait vs dead-end stall) exactly
-        like the engine's ``_check_packet_timeouts``."""
-        graph: DiGraph = DiGraph()
-        tables = self.groups[int(self.f_group[member.fidx])]
-        group: _GroupTables = tables.array_lut
-        ch_off = member.ch_off
-        node_off = member.node_off
-        span = group.num_dirs + 1
-        dead = self.ch_dead
-        for slot in waits:
-            slot = int(slot)
-            if self.pk_state[slot] == _EJECT_WAIT:
-                holder = int(
-                    self.ej_owner[node_off + int(self.pk_head_node[slot])]
-                )
-                if holder >= 0 and holder != slot:
-                    graph.add_edge(slot, holder)
-                continue
-            row = (
-                int(self.pk_head_node[slot]) * group.N
-                + int(self.pk_dst[slot])
-            ) * span + int(self.pk_head_dir[slot])
-            if group.num_vc > 1:
-                # The wait-for graph watches the minimal (direction, vc)
-                # pairs for the header's arrival VC class, in candidate
-                # order — the same rows arbitration reads.
-                row = row * group.num_vc + int(self.pk_head_vc[slot])
-            group.ensure_rows(tables, np.asarray([row]), escape=False)
-            holders: List[int] = []
-            blocked = True
-            for cid in group.cand[row]:
-                cid = int(cid)
-                if cid < 0:
-                    break  # sentinel padding: row exhausted
-                gchan = ch_off + cid
-                if dead is not None and dead[gchan]:
-                    continue  # fault-masked candidate
-                holder = int(self.ch_owner[gchan])
-                if holder < 0:
-                    blocked = False
-                    break
-                holders.append(holder)
-            if blocked:
-                for holder in holders:
-                    if holder != slot:
-                        graph.add_edge(slot, holder)
-        circular = {s for comp in graph.cyclic_components() for s in comp}
-        for slot in victims[np.argsort(self.pk_wseq[victims])]:
-            slot = int(slot)
-            cause = (
-                "timeout-deadlock" if slot in circular else "timeout-stall"
-            )
-            member._kill(self, slot, cycle, cause, killed=False)
-
     # -- per-cycle member bookkeeping ---------------------------------------
 
     def _finalize_fast(self, member: _FastMember) -> SimulationResult:
@@ -2022,9 +1453,6 @@ class _BatchCore:
         grant_wait = int(self.m_maxgrant[member.fidx])
         if grant_wait > result.max_grant_wait_cycles:
             result.max_grant_wait_cycles = grant_wait
-        stall = int(self.m_maxstall[member.fidx])
-        if stall > result.max_stall_age_cycles:
-            result.max_stall_age_cycles = stall
         state = self.pk_state[: self.n_slots]
         stalled = np.nonzero(
             (self.pk_sim[: self.n_slots] == member.fidx)
@@ -2068,23 +1496,8 @@ class _BatchCore:
     # -- the batched run loop ------------------------------------------------
 
     # The scalar stages: Python only for the members with work due this
-    # cycle, each refreshing the core's mirrors (``m_nextfault``,
-    # ``m_nextretry``, ``m_nextgen``, ``m_pending``) of the lifecycle
-    # state it changed.
-
-    def _faults_pass(self, cycle: int) -> None:
-        if self._any_faults:
-            for f in np.nonzero(self.m_act & (self.m_nextfault <= cycle))[0]:
-                self._apply_faults(self.fast[int(f)], cycle)
-
-    def _retries_pass(self, cycle: int) -> None:
-        if self._any_drops:
-            for f in np.nonzero(self.m_act & (self.m_nextretry <= cycle))[0]:
-                life = self.fast[int(f)].life
-                life.pop_retries(cycle)
-                self.m_nextretry[f] = min(life.retry_at, default=_NEVER)
-                if life.pending_nodes:
-                    self.m_pending[f] = True
+    # cycle, each refreshing the core's mirrors (``m_nextgen``,
+    # ``m_pending``) of the lifecycle state it changed.
 
     def _generate_pass(self, cycle: int) -> None:
         for f in np.nonzero(self.m_act & (self.m_nextgen <= cycle))[0]:
@@ -2105,10 +1518,7 @@ class _BatchCore:
             member.life.inject(
                 cycle,
                 partial(self._alloc_slot, member),
-                lambda p, cycle, cause: member._drop(  # (never in the arena)
-                    self, p.src, p.dst, p.length, p.created, p.attempt,
-                    cycle, cause,
-                ),
+                _no_drop,
             )
             self.m_pending[f] = bool(member.life.pending_nodes)
 

@@ -208,10 +208,13 @@ class SimulationConfig(FrozenMemo):
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if type(value) is not int:  # the common case costs one test
-                _require_integer(name, value)
+                object.__setattr__(self, name, _as_int(name, value))
         for length in self.message_lengths:
             if type(length) is not int:
-                _require_integer("message_lengths", length)
+                object.__setattr__(self, "message_lengths", tuple(
+                    _as_int("message_lengths", n) for n in self.message_lengths
+                ))
+                break
         if self.channel_bandwidth <= 0:
             raise ValueError("channel_bandwidth must be positive")
         if self.buffer_depth < 1:
@@ -401,11 +404,15 @@ class SimulationConfig(FrozenMemo):
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
-def _require_integer(name: str, value: object) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer
-    (:func:`operator.index` accepts it)."""
+def _as_int(name: str, value: object) -> int:
+    """``value`` as a plain ``int``, or ``ValueError`` unless it is an
+    integer (:func:`operator.index` accepts it) and not a bool.  A numpy
+    integer becomes the ``int`` it equals, so equal configs serialise,
+    hash and cache-key alike."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
-        operator.index(value)  # type: ignore[arg-type]
+        return operator.index(value)  # type: ignore[arg-type]
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 

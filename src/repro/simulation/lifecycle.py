@@ -12,7 +12,9 @@ exist once and the backends cannot drift apart (docs/SIMULATOR.md,
 What stays with each engine is only what differs: how a worm occupies
 the network (``Packet`` hold lists on the event engine, slot rows of a
 numpy arena on the array engine), releasing those resources when a worm
-is killed, trace emission, and the progress watchdog.  The lifecycle
+is killed (only the event engine kills worms: fault plans and
+per-packet watchdogs run there), trace emission, and the progress
+watchdog.  The lifecycle
 never sees either representation — the per-node injection gate holds
 the engine's opaque handle for the worm using it (``None`` when free),
 and drops and deliveries arrive as plain integers — so this module is

@@ -8,10 +8,10 @@ depth, message lengths, seed) must satisfy:
 * a batched sweep returns per-point results — and therefore sweep
   aggregates — identical to running each point alone on the event
   engine;
-* arbitrary fault plans combined with any congestion-aware selection
-  policy, watchdog/retry settings, and collectors — the widened
-  vectorized envelope — batched in arbitrary compositions still match
-  per-point event-engine runs exactly.
+* in-envelope points and demoted ones (fault plans, non-xy selection
+  policies, watchdogs) batched in arbitrary compositions come back in
+  input order, match per-point event-engine runs exactly, and exactly
+  the in-envelope points run on the vectorized kernels.
 """
 
 import dataclasses
@@ -137,22 +137,30 @@ def fault_plan(draw, m):
 
 
 @st.composite
-def faulted_point(draw):
+def mixed_point(draw):
+    """A mesh point that may carry a fault plan, any deterministic
+    selection policy, a watchdog with retries and the collectors — in
+    or out of the vectorized envelope."""
     m = draw(st.integers(4, 6))
     algorithm = draw(
         st.sampled_from(["west-first", "north-last", "negative-first"])
     )
-    policy = draw(
-        st.sampled_from(["xy", "round-robin", "max-credits", "threshold"])
-    )
+    policy, plan, timeout = "xy", FaultPlan(), 0
+    if draw(st.booleans()):  # else in the envelope
+        policy = draw(
+            st.sampled_from(["xy", "round-robin", "max-credits", "threshold"])
+        )
+        if draw(st.booleans()):
+            plan = draw(fault_plan(m))
+        timeout = draw(st.sampled_from([0, 120, 250]))
     config = SimulationConfig(
         offered_load=draw(st.sampled_from([0.8, 1.3])),
         warmup_cycles=50,
         measure_cycles=220,
         drain_cycles=100,
         seed=draw(st.integers(0, 10_000)),
-        fault_plan=draw(fault_plan(m)),
-        packet_timeout=draw(st.sampled_from([120, 250])),
+        fault_plan=plan,
+        packet_timeout=timeout,
         max_retries=draw(st.integers(0, 2)),
         output_selection=policy,
         selection_threshold=draw(st.integers(1, 3)),
@@ -234,18 +242,20 @@ class TestVirtualChannelBatches:
         ]
 
 
-class TestFaultedSelectionBatches:
-    """The tentpole property: arbitrary fault plan x selection policy x
-    watchdog/retry/collector settings, batched in arbitrary
-    compositions, equals per-point event-engine runs bit-for-bit —
-    and every such point runs on the vectorized kernels."""
+class TestMixedBatches:
+    """In-envelope and demoted points share one batch: the vectorized
+    ones advance together, each demoted one is a whole event-engine
+    run, and the results come back in input order, equal to per-point
+    event-engine runs bit-for-bit."""
 
     @settings(max_examples=6, deadline=None)
-    @given(st.lists(faulted_point(), min_size=2, max_size=3))
-    def test_faulted_batch_matches_per_point_event_runs(self, points):
-        for _, _, _, config in points:
-            assert demotion_reasons(config) == ()
-        batched = BatchSimulator([build(*p) for p in points]).run()
+    @given(st.lists(mixed_point(), min_size=2, max_size=4))
+    def test_mixed_batch_matches_per_point_event_runs(self, points):
+        batch = BatchSimulator([build(*p) for p in points])
+        assert batch.vectorized_count == sum(
+            not demotion_reasons(config) for _, _, _, config in points
+        )
+        batched = batch.run()
         solo = [
             WormholeSimulator(
                 *build(

@@ -112,6 +112,22 @@ class TestVectorizedEnvelope:
             (dict(output_selection="random"), "output-selection"),
             (dict(output_selection="zigzag"), "output-selection"),
             (dict(input_selection="random"), "input-selection"),
+            # Measured no faster batched than as per-point event runs
+            # (docs/PERFORMANCE.md, "When batching wins").
+            (dict(output_selection="round-robin"), "output-selection"),
+            (dict(output_selection="max-credits"), "output-selection"),
+            (
+                dict(output_selection="threshold", selection_threshold=3),
+                "output-selection",
+            ),
+            (dict(packet_timeout=100), "watchdog"),
+            (dict(packet_timeout=100, max_retries=2), "watchdog"),
+            (
+                dict(fault_plan=FaultPlan.random_links(
+                    parse_topology_spec("mesh:5x5"), 2, seed=1, start=50
+                )),
+                "faults",
+            ),
         ],
     )
     def test_feature_leaves_envelope(self, overrides, reason):
@@ -128,18 +144,24 @@ class TestVectorizedEnvelope:
         assert demotion_reasons(config) == (
             "output-selection", "input-selection"
         )
+        plan = FaultPlan.random_links(
+            parse_topology_spec("mesh:5x5"), 1, seed=1, start=50
+        )
+        config = SimulationConfig(
+            output_selection="max-credits", fault_plan=plan,
+            packet_timeout=100,
+        )
+        assert demotion_reasons(config) == (
+            "output-selection", "faults", "watchdog"
+        )
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(packet_timeout=100),
-            dict(packet_timeout=100, max_retries=2),
+            dict(max_retries=2),
             dict(channel_series_period=50),
             dict(collect_router_blocked=True),
             dict(collect_latency_histogram=True),
-            dict(output_selection="round-robin"),
-            dict(output_selection="max-credits"),
-            dict(output_selection="threshold", selection_threshold=3),
             dict(virtual_channels=2),
             dict(virtual_channels=4),
         ],
@@ -149,10 +171,20 @@ class TestVectorizedEnvelope:
         assert vectorized_envelope(config)
         assert demotion_reasons(config) == ()
 
-    def test_fault_plan_stays_in_envelope(self):
-        topology = parse_topology_spec("mesh:5x5")
-        plan = FaultPlan.random_links(topology, 2, seed=1, start=50)
-        assert vectorized_envelope(SimulationConfig(fault_plan=plan))
+    @needs_numpy
+    def test_retries_without_drops_stay_vectorized(self):
+        # With no fault plan and no watchdog nothing can drop, so
+        # ``max_retries`` is inert and the point keeps the kernels.
+        algorithm, pattern, config = build_point(max_retries=2, drain_cycles=100)
+        sim = ArrayWormholeSimulator(
+            algorithm, pattern, config.with_backend("array")
+        )
+        assert sim.vectorized
+        result = sim.run()
+        assert result.retried_packets == result.dropped_packets == 0
+        assert result.to_dict() == event_result(
+            build_point(max_retries=2, drain_cycles=100)
+        ).to_dict()
 
     @needs_numpy
     def test_sink_demotes_to_scalar_member_but_stays_identical(self):

@@ -254,6 +254,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be .*{message}"):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("virtual_channels", True),
+            ("seed", False),
+            ("message_lengths", (10, True)),
+        ],
+    )
+    def test_rejects_bools_in_int_fields(self, field, value):
+        # ``True == 1`` and ``hash(True) == hash(1)``, but the canonical
+        # JSON says ``true``: equal configs would get two cache keys.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimulationConfig(**{field: value})
+
+    def test_numpy_integers_become_plain_ints(self):
+        np = pytest.importorskip("numpy")
+        from repro.analysis.runner import PointSpec
+
+        config = SimulationConfig(
+            seed=np.int64(3), buffer_depth=np.int32(2),
+            message_lengths=(np.int64(10), 200),
+        )
+        plain = SimulationConfig(seed=3, buffer_depth=2, message_lengths=(10, 200))
+        assert type(config.seed) is int and type(config.buffer_depth) is int
+        assert all(type(n) is int for n in config.message_lengths)
+        assert config == plain
+        assert config.stable_hash() == plain.stable_hash()
+        spec = PointSpec("mesh:4x4", "xy", "uniform", config)
+        assert spec.cache_key() == PointSpec(
+            "mesh:4x4", "xy", "uniform", plain
+        ).cache_key()
+
     def test_derived_quantities(self):
         config = SimulationConfig(offered_load=2.1)
         assert config.cycle_time_us == pytest.approx(0.05)

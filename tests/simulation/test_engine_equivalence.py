@@ -13,19 +13,20 @@ arbitration order, or accounting shows up as a mismatch.
 
 Equivalence classification (docs/SIMULATOR.md has the full table):
 every feature is **bit-identical** across all three backends.  Inside
-the vectorized envelope (any virtual-channel count — plain multi-VC,
-torus dateline classes, escape-VC adaptive — fcfs input selection, and
-any deterministic output policy — xy, round-robin, max-credits,
-threshold — including fault plans, watchdog timeouts with retries,
-profilers, and the streaming collectors) the array backend's numpy
-kernels reproduce the event engine's decision stream exactly; outside
-it (random/zigzag selection, trace sinks, the LUT entry cap) the array
-backend runs the point as one whole event-engine run, bit-identical by
-construction.  There is no
+the vectorized envelope (xy output and fcfs input selection, no fault
+plan, no per-packet watchdog, at any virtual-channel count — plain
+multi-VC, torus dateline classes, escape-VC adaptive — with misroute
+budgets, drain windows, inert retries, profilers and the streaming
+collectors) the array backend's numpy kernels reproduce the event
+engine's decision stream exactly; outside it (any other selection
+policy, fault plans, watchdogs, trace sinks, the LUT entry cap) the
+array backend runs the point as one whole event-engine run,
+bit-identical by construction.  There is no
 statistically-equivalent-only feature class.  ``assert_equivalent``
 additionally asserts that in-envelope points really ran on the
-vectorized kernels, so the fault/policy/watchdog/collector legs here
-cannot silently regress onto the event-engine fallback.
+vectorized kernels, so the multi-VC and collector legs here cannot
+silently regress onto the event-engine fallback; the fault, selection
+and watchdog classes check that demoted points still match.
 """
 
 import dataclasses
@@ -382,7 +383,8 @@ class TestSharedLifecycle:
     generation, retry and drop accounting are counted at its methods on
     a faults + watchdog + retries + drain point (``warmup_cycles=0``, so
     every packet is measured), and a profiler times the same stage list
-    the unprofiled run executes."""
+    the unprofiled run executes.  The array backend runs this point
+    outside its vectorized envelope, as one whole event-engine run."""
 
     SPEC = ("mesh:6x6", "west-first", "uniform")
     STAGE_ORDER = [
@@ -401,15 +403,12 @@ class TestSharedLifecycle:
 
     def simulator(self, backend, profiler=None):
         topology = parse_topology_spec(self.SPEC[0])
-        sim = make_simulator(
+        return make_simulator(
             make_algorithm(self.SPEC[1], topology),
             make_pattern(self.SPEC[2], topology),
             self.config(backend),
             profiler=profiler,
         )
-        if backend == "array":
-            assert sim.vectorized
-        return sim
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_accounting_goes_through_the_lifecycle(self, backend, monkeypatch):

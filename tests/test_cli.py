@@ -180,6 +180,29 @@ class TestCommands:
         assert "0/1 point(s) vectorized (0%)" in out
         assert "demoted by output-selection x1" in out
 
+    def test_faults_array_coverage_counts_the_campaign_points(self, capsys):
+        # 2 fault counts x 1 trial x 2 algorithms: the coverage line
+        # covers those four configs — each with its own fault plan —
+        # not the plan-free base config.
+        pytest.importorskip("numpy")
+        code = main(
+            [
+                "faults",
+                "--topology", "mesh:4x4",
+                "--algorithms", "xy,west-first",
+                "--faults", "0,1",
+                "--trials", "1",
+                "--warmup", "50",
+                "--cycles", "200",
+                "--backend", "array",
+                "--no-cache",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[array backend: 0/4 point(s) vectorized (0%)" in out
+        assert "demoted by faults x2, watchdog x4]" in out
+
     def test_backend_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(
