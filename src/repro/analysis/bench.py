@@ -6,9 +6,10 @@ bit-for-bit on any machine and is compared by **exact equality**:
 * the run's **fingerprint** — the nine counters the golden
   bit-identity tests pin (see ``tests/faults/test_fault_injection.py``),
   summed over the members of a batch;
-* on event-engine points the counted work, ``worm_steps`` and
-  ``bulk_flit_hops`` (docs/SIMULATOR.md) — how much of the run was
-  stepped worm by worm and how much was applied in closed form;
+* on event-engine points the counted work, ``worm_steps``,
+  ``bulk_flit_hops`` and ``quiet_cycles`` (docs/SIMULATOR.md) — how
+  much of the run was stepped worm by worm, how much was applied in
+  closed form, and how many cycles were jumped over as quiet;
 * on array-engine points a run-time reference check: the first
   ``event_sample`` members are re-run on the event engine and must
   match their array results bit-for-bit.
@@ -34,9 +35,10 @@ from ..simulation.array_engine import make_simulator
 from ..simulation.config import SimulationConfig
 from .runner import ParallelSweepRunner, PointSpec, parse_topology_spec
 
-BENCH_SCHEMA = 3
+BENCH_SCHEMA = 4
 """Schema 3 dropped every host-dependent value (walls, rates, speedups,
-baselines, timestamps) and merged ``batch_points`` into ``points``."""
+baselines, timestamps) and merged ``batch_points`` into ``points``;
+schema 4 added ``quiet_cycles`` to the event points."""
 
 FINGERPRINT_FIELDS = (
     "generated_packets", "delivered_packets", "delivered_flits",
@@ -289,10 +291,12 @@ class Pin:
 
     worm_steps: Optional[int] = None
     """Event-engine work counters, summed over the members: worms
-    stepped one by one, and (``bulk_flit_hops``) flit-hops applied in
-    bulk for streaming worms instead.  ``None`` on the array engine."""
+    stepped one by one, (``bulk_flit_hops``) flit-hops applied in bulk
+    for streaming worms instead, and (``quiet_cycles``) cycles jumped
+    over because no stage could act.  ``None`` on the array engine."""
 
     bulk_flit_hops: Optional[int] = None
+    quiet_cycles: Optional[int] = None
     bit_identical: bool = True
     """Array points: the sampled event-engine results matched.  A
     verdict on this run (see :func:`compare_reports`), never stored."""
@@ -305,18 +309,20 @@ class Pin:
         if self.worm_steps is not None:
             out["worm_steps"] = self.worm_steps
             out["bulk_flit_hops"] = self.bulk_flit_hops
+            out["quiet_cycles"] = self.quiet_cycles
         return out
 
 
 def run_point(point: PinnedPoint) -> Pin:
     """Run every member of ``point`` once (array points need numpy)."""
-    worm_steps = bulk_flit_hops = None
+    worm_steps = bulk_flit_hops = quiet_cycles = None
     bit_identical = True
     if point.backend == "event":
         sims = [make_simulator(*member) for member in point.build()]
         results = [sim.run() for sim in sims]
         worm_steps = sum(sim.worm_steps for sim in sims)
         bulk_flit_hops = sum(sim.bulk_flit_hops for sim in sims)
+        quiet_cycles = sum(sim.quiet_cycles for sim in sims)
     else:
         runner = ParallelSweepRunner(jobs=1, cache=None)
         results = runner.run_points(point.specs())
@@ -328,7 +334,10 @@ def run_point(point: PinnedPoint) -> Pin:
     fingerprint = tuple(
         sum(column) for column in zip(*map(_fingerprint, results))
     )
-    return Pin(point, fingerprint, worm_steps, bulk_flit_hops, bit_identical)
+    return Pin(
+        point, fingerprint, worm_steps, bulk_flit_hops, quiet_cycles,
+        bit_identical,
+    )
 
 
 def write_report(pins: Sequence[Pin], path: str) -> None:

@@ -565,21 +565,22 @@ def cmd_saturation(args) -> int:
 
 _PIN_HEADER = (
     f"{'point':32s} {'members':>7s} {'generated':>10s} {'delivered':>10s} "
-    f"{'worm-steps':>11s} {'bulk-hops':>10s}  event-check"
+    f"{'worm-steps':>11s} {'bulk-hops':>10s} {'quiet':>7s}  event-check"
 )
 
 
 def _format_pin(pin: Pin) -> str:
     point = pin.point
     if point.backend == "event":
-        steps, bulk, check = pin.worm_steps, pin.bulk_flit_hops, "-"
+        steps, bulk, quiet = pin.worm_steps, pin.bulk_flit_hops, pin.quiet_cycles
+        check = "-"
     else:
         verdict = "identical" if pin.bit_identical else "MISMATCH"
-        steps, bulk = "-", "-"
+        steps = bulk = quiet = "-"
         check = f"{point.event_sample}/{point.batch_size} {verdict}"
     return (
         f"{point.id:32s} {point.batch_size:7d} {pin.fingerprint[0]:10d} "
-        f"{pin.fingerprint[1]:10d} {steps:>11} {bulk:>10}  {check}"
+        f"{pin.fingerprint[1]:10d} {steps:>11} {bulk:>10} {quiet:>7}  {check}"
     )
 
 

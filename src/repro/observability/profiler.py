@@ -16,7 +16,11 @@ near-zero bookkeeping so a profiled run stays representative:
   active;
 * ``collect`` — the streaming collectors' end-of-cycle pass (array
   backend only; the event engine's collector hooks are inlined into the
-  stages above).
+  stages above);
+* ``quiet`` — the event engine's quiet-cycle jumps in ``run()``: one
+  call per jump over cycles on which no stage could act (those cycles
+  run none of the phases above).  A jump that a due watchdog or
+  deadlock bound cuts to zero cycles still counts as a call.
 
 The array backend (``backend="array"``) reports the same phases per
 batched kernel pass, with ``route`` folded into ``allocate`` (the LUT
@@ -47,6 +51,7 @@ ENGINE_PHASES = (
     "advance",
     "watchdog",
     "collect",
+    "quiet",
 )
 """Phase names the wormhole engine reports, in pipeline order."""
 

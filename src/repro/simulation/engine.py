@@ -26,7 +26,7 @@ with the array backend; this module owns how worms occupy the network.
 
 **The event-driven hot path** (docs/PERFORMANCE.md): the engine is
 semantically a per-cycle scan of every source and every waiting header,
-but it executes four structural optimisations that skip the scans whose
+but it executes five structural optimisations that skip the scans whose
 outcome is already known — each one bit-identical to the naive scan
 (the scan oracle ``ScanSimulator`` in ``tests/support/scan_oracle.py``
 runs the scan-based code paths; the cross-equivalence suite compares
@@ -63,7 +63,14 @@ the numbers captured before any of this existed):
   and is then *settled* — the cycles it is owed applied in one pass
   over its holds — before that cycle's real step.  A fault that kills
   it, and ``finalize``, settle it earlier.  Every release, delivery and
-  trace event still happens in a real step, in ``active`` order.
+  trace event still happens in a real step, in ``active`` order;
+* **quiet-cycle skip** — on a cycle with no due arrival, retry, fault
+  or wake, no pending injection, no unparked header and no awake worm,
+  no stage can change state.  :meth:`WormholeSimulator.run` jumps over
+  a run of such cycles to the next one in which a stage can act (or a
+  watchdog or the deadlock check fires), applying in closed form the
+  only per-cycle bookkeeping ``step`` would have done.  ``step`` stays
+  the exact one-cycle primitive.
 
 A watchdog records the last cycle on which any flit moved or channel was
 granted; silence beyond ``config.deadlock_threshold`` with flits still in
@@ -98,6 +105,7 @@ golden-fingerprint tests pin this down bit-for-bit).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set
 
 from ..faults.plan import CHANNEL_FAULT, FAIL
@@ -146,8 +154,9 @@ class WormholeSimulator:
     The test suite's scan oracle (``tests/support/scan_oracle.py``)
     subclasses this engine with the scan-based generation and routing
     code paths (no arrival calendar, no routing-table memo, no wakeup
-    parking, no streaming-worm fast-forward); the cross-equivalence
-    suite requires bit-identical results from the two.
+    parking, no streaming-worm fast-forward, no quiet-cycle skip); the
+    cross-equivalence suite requires bit-identical results from the
+    two.
     """
 
     def __init__(
@@ -194,10 +203,12 @@ class WormholeSimulator:
             config.virtual_channels == 1 and config.channel_series_period == 0
         )
         # Host-side work counters (never part of the result): worm steps
-        # the movement stage executed one by one, and flit-hops it
-        # applied in bulk instead.  Read-only for callers.
+        # the movement stage executed one by one, flit-hops it applied
+        # in bulk instead, and cycles ``run`` jumped over as quiet.
+        # Read-only for callers.
         self.worm_steps = 0
         self.bulk_flit_hops = 0
+        self.quiet_cycles = 0
 
         self.cycle = 0
         self.last_progress = 0
@@ -278,6 +289,9 @@ class WormholeSimulator:
                 channel_series_period=config.channel_series_period,
                 collect_router_blocked=config.collect_router_blocked,
             )
+        # Quiet-cycle skip (see ``run``): off when collectors count
+        # router-blocked cycles or bucket channel use per cycle.
+        self._quiet_skip = self._collectors is None
 
         # The cycle: the stages of ``_STAGES`` whose subsystem this run
         # uses, in order — by name, so an unprofiled simulator holds no
@@ -293,7 +307,8 @@ class WormholeSimulator:
         stages = [stage for stage in _STAGES if used.get(stage[0], True)]
         self._stages = tuple(name for _, name in stages)
         if profiler is not None:
-            for phase, name in stages + [("route", "_candidate_channels")]:
+            extra = [("route", "_candidate_channels"), ("quiet", "_skip_quiet")]
+            for phase, name in stages + extra:
                 setattr(
                     self, name, timed(phase, getattr(self, name), (profiler,))
                 )
@@ -301,9 +316,42 @@ class WormholeSimulator:
     # -- public API ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Simulate warmup + measurement and return the measurements."""
-        for _ in range(self.cycle, self.config.total_cycles):
-            if self.step():
+        """Simulate warmup + measurement and return the measurements.
+
+        Bit-identical to calling :meth:`step` until the end (or a
+        deadlock), but a cycle on which no stage can act is not stepped:
+        :meth:`_skip_quiet` jumps over it and every quiet cycle after
+        it.  Such a cycle has no pending injection, no unparked header
+        (``_parked`` is a subset of ``waiting``), no awake worm
+        (``dormant`` is a subset of ``active``), no fault, retry or wake
+        due, and no arrival due before the drain window."""
+        total = self.config.total_cycles
+        step = self.step
+        skip = self._quiet_skip
+        pending = self.pending_nodes
+        parked, waiting = self._parked, self.waiting
+        dormant, active = self.dormant, self.active
+        wake_at, faults = self._wake_at, self._fault_schedule
+        retries = self._life.retry_at
+        heap = self._life.arrival_heap
+        generation_end = self.config.generation_cycles
+        while self.cycle < total:
+            cycle = self.cycle
+            if (
+                skip
+                and not pending
+                and len(parked) == len(waiting)
+                and len(dormant) == len(active)
+                and cycle not in wake_at
+                and cycle not in faults
+                and cycle not in retries
+                and (cycle >= generation_end or not heap or heap[0][0] > cycle)
+            ):
+                # Every jump ends on a cycle that must be stepped.
+                self._skip_quiet(cycle)
+                if self.cycle >= total:
+                    break
+            if step():
                 break
         return self.finalize()
 
@@ -313,8 +361,9 @@ class WormholeSimulator:
         deadlock watchdog).  True when the run should abort — the
         watchdog tripped.
 
-        :meth:`run` and interactive drivers both advance through here,
-        so stepping N cycles leaves the simulator in exactly the state
+        Interactive drivers advance through here, and so does
+        :meth:`run` on every cycle it does not jump over as quiet, so
+        stepping N cycles leaves the simulator in exactly the state
         running N cycles would (call :meth:`finalize` to fold end-of-run
         state into the result)."""
         cycle = self.cycle
@@ -337,6 +386,54 @@ class WormholeSimulator:
             self.result.deadlock_cycle = cycle
             return True
         return False
+
+    def _skip_quiet(self, cycle: int) -> None:
+        """Jump from the quiet ``cycle`` to the next cycle ``end`` that
+        must be stepped, doing for ``[cycle, end)`` exactly what stepping
+        those cycles would have done.
+
+        ``end`` is the first cycle on which a calendar (wake, fault,
+        retry) or an arrival before the drain window is due, a waiting
+        header's watchdog expires, the deadlock check trips, or the run
+        ends.  Until then every stage is a no-op except that sleeping
+        worms count as progress and the watchdog ages the parked
+        headers, and the step bookkeeping only samples the (unchanged)
+        backlog.  ``end == cycle`` (a bound due now) jumps nothing."""
+        config = self.config
+        end = config.total_cycles
+        for calendar in (self._wake_at, self._fault_schedule, self._life.retry_at):
+            for due in calendar:
+                if cycle < due < end:
+                    end = due
+        heap = self._life.arrival_heap
+        if heap:
+            arrival = math.ceil(heap[0][0])
+            if arrival < config.generation_cycles:
+                end = min(end, arrival)
+        waiting = self.waiting
+        oldest = None
+        if waiting and config.packet_timeout > 0:
+            oldest = min(packet.header_wait_since for packet in waiting)
+            end = min(end, oldest + config.packet_timeout + 1)
+        if not self._owed and (self.active or waiting):
+            end = min(end, self.last_progress + config.deadlock_threshold + 1)
+        if end <= cycle:
+            return
+        warmup = config.warmup_cycles
+        period = config.queue_sample_period
+        first = max(cycle, warmup)
+        first += (warmup - first) % period  # the first sample cycle
+        result = self.result
+        if first < end:
+            samples = (end - 1 - first) // period + 1
+            result.backlog_samples.extend([self._life.backlog] * samples)
+        if self._owed:
+            self.last_progress = end - 1
+        if oldest is not None and end - 1 - oldest > result.max_stall_age_cycles:
+            result.max_stall_age_cycles = end - 1 - oldest
+        self.quiet_cycles += end - cycle
+        self._last_cycle = end - 1
+        self.cycle = end
 
     def finalize(self) -> SimulationResult:
         """Fold end-of-run state into the result and return it.

@@ -124,6 +124,7 @@ class TestMeasurement:
         entry = pin.to_dict()
         assert entry["worm_steps"] == pin.worm_steps
         assert entry["bulk_flit_hops"] == pin.bulk_flit_hops
+        assert entry["quiet_cycles"] == pin.quiet_cycles
         assert entry["spec"] == TINY.spec_dict()
 
     def test_repeats_keep_the_same_fingerprint(self):
@@ -137,6 +138,7 @@ class TestMeasurement:
             sum(column) for column in zip(*(p.fingerprint for p in solos))
         )
         assert batch.worm_steps == sum(p.worm_steps for p in solos)
+        assert batch.quiet_cycles == sum(p.quiet_cycles for p in solos)
 
     def test_report_round_trip(self, tmp_path):
         pin = run_point(TINY)
@@ -190,7 +192,9 @@ class TestRegressionGate:
         assert len(problems) == 1
         assert "tiny: fingerprint changed" in problems[0]
 
-    @pytest.mark.parametrize("counter", ["worm_steps", "bulk_flit_hops"])
+    @pytest.mark.parametrize(
+        "counter", ["worm_steps", "bulk_flit_hops", "quiet_cycles"]
+    )
     def test_work_counter_change_is_fatal(self, counter):
         pin = run_point(TINY)
         committed = _committed(pin)

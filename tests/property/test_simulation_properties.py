@@ -3,16 +3,21 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scan_oracle import ScanSimulator
+from sleeper_probe import SleeperProbe
 
 from repro.faults.plan import PERMANENT, FaultEvent, FaultPlan
 from repro.observability import ListSink
-from repro.routing import mesh_algorithms
+from repro.routing import (
+    hypercube_algorithms,
+    mesh_algorithms,
+    torus_algorithms,
+)
 from repro.simulation import (
     PacketState,
     SimulationConfig,
     WormholeSimulator,
 )
-from repro.topology import Mesh2D
+from repro.topology import Hypercube, KAryNCube, Mesh2D
 from repro.traffic import UniformPattern
 
 
@@ -164,3 +169,76 @@ class TestStreamingFastForward:
         assert opt._sink.events == ref._sink.events
         assert ref.bulk_flit_hops == 0
         assert opt.worm_steps <= ref.worm_steps
+
+
+@st.composite
+def quiet_case(draw):
+    """Topology x algorithm x load x optional faults, watchdog and
+    retries, at loads light enough that many cycles are quiet."""
+    kind = draw(st.sampled_from(["mesh", "torus", "cube"]))
+    if kind == "mesh":
+        topology = Mesh2D(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+        algorithms = mesh_algorithms(topology)
+    elif kind == "torus":
+        topology = KAryNCube(draw(st.integers(3, 5)), 2)
+        algorithms = torus_algorithms(topology)
+    else:
+        topology = Hypercube(draw(st.integers(3, 5)))
+        algorithms = hypercube_algorithms(topology)
+    algorithm = draw(st.sampled_from(algorithms))
+    faults = {}
+    if draw(st.integers(0, 3)):
+        start = draw(st.integers(0, 300))
+        end = draw(st.one_of(st.just(PERMANENT), st.integers(start + 1, 500)))
+        faults["fault_plan"] = FaultPlan.random_links(
+            topology, draw(st.integers(2, 8)), draw(st.integers(0, 1_000)),
+            start, end,
+        )
+    config = SimulationConfig(
+        offered_load=draw(st.sampled_from([0.05, 0.2, 0.5, 1.5])),
+        warmup_cycles=draw(st.sampled_from([0, 37, 100])),
+        measure_cycles=400,
+        drain_cycles=draw(st.sampled_from([0, 150])),
+        seed=draw(st.integers(0, 2 ** 16)),
+        queue_sample_period=draw(st.sampled_from([1, 15, 100])),
+        packet_timeout=draw(st.sampled_from([0, 20, 150])),
+        max_retries=draw(st.integers(0, 2)),
+        deadlock_threshold=draw(st.sampled_from([60, 5_000])),
+        message_lengths=draw(st.sampled_from([(10, 200), (3, 20)])),
+        track_channel_load=True,
+        **faults,
+    )
+    return topology, algorithm, config
+
+
+class TestQuietCycleSkip:
+    """``run()`` jumps over quiet cycles; a ``step()`` loop steps each.
+    Same result, same trace, same counted work, and exactly the
+    skippable cycles skipped."""
+
+    @given(quiet_case())
+    @settings(max_examples=100)
+    def test_run_equals_stepping(self, case):
+        topology, algorithm, config = case
+        sims = [
+            WormholeSimulator(
+                algorithm, UniformPattern(topology), config, sink=ListSink()
+            )
+            for _ in range(2)
+        ]
+        stepped, ran = sims
+        stepped_probe, ran_probe = SleeperProbe(stepped), SleeperProbe(ran)
+        while stepped.cycle < config.total_cycles:
+            if stepped.step():
+                break
+        stepped_result = stepped.finalize()
+        assert ran.run().to_dict() == stepped_result.to_dict()
+        assert ran._sink.events == stepped._sink.events
+        assert (ran.worm_steps, ran.bulk_flit_hops) == (
+            stepped.worm_steps, stepped.bulk_flit_hops,
+        )
+        assert (ran.cycle, ran._last_cycle, ran.last_progress) == (
+            stepped.cycle, stepped._last_cycle, stepped.last_progress,
+        )
+        assert ran_probe.stepped_skippable == 0
+        assert ran.quiet_cycles == stepped_probe.stepped_skippable

@@ -3,7 +3,7 @@
 The scan oracle (``ScanSimulator``, ``tests/support/scan_oracle.py``)
 runs the pre-optimisation code paths: scan-every-source generation,
 derive-from-scratch routing, no wakeup parking, no streaming-worm
-fast-forward.  Every operating point here runs the scan oracle, the
+fast-forward, no quiet-cycle skip.  Every operating point here runs the scan oracle, the
 optimised event engine, and — when numpy is installed — the batched
 array backend, and compares the *complete*
 ``SimulationResult.to_dict()`` — counters, histograms, backlog
@@ -33,9 +33,10 @@ import dataclasses
 
 import pytest
 from scan_oracle import ScanSimulator
+from sleeper_probe import SleeperProbe
 
 from repro.analysis.runner import make_pattern, parse_topology_spec
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.observability import ListSink
 from repro.routing.registry import make_algorithm
 from repro.simulation.array_engine import (
@@ -232,8 +233,6 @@ class TestFaultEquivalence:
         assert_equivalent("mesh:6x6", "west-first", "uniform", config)
 
     def test_router_failure(self):
-        from repro.faults.plan import FaultEvent
-
         plan = FaultPlan(events=(FaultEvent.router(14, start=200),))
         config = SimulationConfig(
             offered_load=1.0, warmup_cycles=100, measure_cycles=500,
@@ -324,8 +323,6 @@ class TestSharedTablesIsolation:
     SPEC = "mesh:6x6"
 
     def fault_configs(self):
-        from repro.faults.plan import FaultEvent
-
         topology = parse_topology_spec(self.SPEC)
         base = SimulationConfig(
             offered_load=1.0, warmup_cycles=100, measure_cycles=400,
@@ -468,22 +465,30 @@ class TestSharedLifecycle:
                 self.order.append(phase)
                 super().add(phase, seconds)
 
-        plain = self.simulator("event").run()
-        cycles = self.config("event").total_cycles
+        plain_sim = self.simulator("event")
+        plain = plain_sim.run()
+        # Every cycle is either stepped (the whole stage list) or jumped
+        # over as quiet (no stage at all).
+        quiet = plain_sim.quiet_cycles
+        stepped = self.config("event").total_cycles - quiet
+        assert quiet > 0 and stepped > 0
         for backend in ("event", "array") if numpy_available() else ("event",):
             profiler = RecordingProfiler()
-            profiled = self.simulator(backend, profiler=profiler).run()
+            profiled_sim = self.simulator(backend, profiler=profiler)
+            profiled = profiled_sim.run()
             assert profiled.to_dict() == plain.to_dict()
             assert self.simulator(backend).run().to_dict() == plain.to_dict()
-            # The same stages in the same order, every cycle, on both
-            # engines — modulo ``route`` (nested in the event engine's
-            # ``allocate``) and ``collect`` (the array engine's pass for
-            # the collectors the event engine runs inline).
+            # The same stages in the same order, every stepped cycle, on
+            # both engines — modulo ``route`` (nested in the event
+            # engine's ``allocate``), ``collect`` (the array engine's
+            # pass for the collectors the event engine runs inline) and
+            # the ``quiet`` jumps between stepped cycles.
             order = [
                 phase for phase in profiler.order
-                if phase not in ("route", "collect")
+                if phase not in ("route", "collect", "quiet")
             ]
-            assert order == self.STAGE_ORDER * cycles
+            assert order == self.STAGE_ORDER * stepped
+            assert 0 < profiler.calls["quiet"] <= quiet
 
 
 def sleeping(sim):
@@ -539,7 +544,6 @@ class TestStreamingWorms:
 
     @pytest.mark.parametrize("kind", ["permanent", "transient", "router"])
     def test_fault_cuts_a_sleeping_worm(self, kind):
-        from repro.faults.plan import FaultEvent
         from repro.topology import EAST
 
         mesh = parse_topology_spec(self.SPEC[0])
@@ -656,3 +660,197 @@ class TestStreamingWorms:
         result = self.finish(ref, opt)
         assert not result.deadlock
         assert result.delivered_flits == 400
+
+
+def engine_clock(sim):
+    """The engine's own clock state after a run."""
+    return sim.cycle, sim._last_cycle, sim.last_progress
+
+
+class TestQuietCycleSkip:
+    """``run()`` jumps over the cycles on which no stage can act
+    (docs/PERFORMANCE.md, "quiet-cycle skip"); ``step()`` and the scan
+    oracle step every one.  Each case compares, across the scan oracle,
+    a ``step()`` loop plus ``finalize()`` and ``run()``, the complete
+    result and the ordered trace stream; ``run()`` and the ``step()``
+    loop must also count the same worm steps and bulk flit-hops.  A
+    ``SleeperProbe`` on both event runs checks the sleeper contract after
+    every stepped cycle and jump, and requires ``run()`` to skip exactly
+    the cycles the ``step()`` loop meets as skippable."""
+
+    SPEC = ("mesh:6x6", "xy", "uniform")
+    ROW = (0, 5, 200)  # one scripted 200-flit worm along row 0
+
+    @staticmethod
+    def east_link(node):
+        from repro.topology import EAST
+
+        mesh = parse_topology_spec(TestQuietCycleSkip.SPEC[0])
+        return next(
+            c for c in mesh.channels() if c.src == node and c.direction == EAST
+        )
+
+    def compare(self, config, spec=SPEC, scripted=(), make=None, skip=True):
+        """Run the three ways; return ``run()``'s simulator and probe."""
+        sims = []
+        for oracle in (True, False, False):
+            if make is None:
+                sim = build(*spec, config, oracle, ListSink())
+            else:
+                sim = make(ScanSimulator if oracle else WormholeSimulator)
+            for src, dst, length in scripted:
+                sim.inject_packet(src, dst, length, created=0)
+            sims.append(sim)
+        scan, stepped, ran = sims
+        stepped_probe, ran_probe = SleeperProbe(stepped), SleeperProbe(ran)
+        scan_result = scan.run()
+        while stepped.cycle < config.total_cycles:
+            if stepped.step():
+                break
+        stepped_result = stepped.finalize()
+        ran_result = ran.run()
+        assert ran_result.to_dict() == scan_result.to_dict()
+        assert ran_result.to_dict() == stepped_result.to_dict()
+        assert ran._sink.events == scan._sink.events == stepped._sink.events
+        assert (ran.worm_steps, ran.bulk_flit_hops) == (
+            stepped.worm_steps, stepped.bulk_flit_hops,
+        )
+        assert engine_clock(ran) == engine_clock(stepped)
+        assert scan.quiet_cycles == stepped.quiet_cycles == 0
+        if skip:
+            # Exactly the skippable cycles are jumped over.
+            assert ran_probe.stepped_skippable == 0
+            assert ran.quiet_cycles == stepped_probe.stepped_skippable > 0
+            assert ran.quiet_cycles == sum(e - s for s, e in ran_probe.jumps)
+        else:
+            assert ran.quiet_cycles == 0 and not ran_probe.jumps
+            assert ran_probe.stepped_skippable > 0  # it could have skipped
+        return ran, ran_probe
+
+    @staticmethod
+    def events(sim, kind):
+        return [event for event in sim._sink.events if event.kind == kind]
+
+    def test_light_load_mesh_with_a_drain_window(self):
+        config = SimulationConfig(
+            offered_load=0.3, warmup_cycles=100, measure_cycles=400,
+            drain_cycles=200, seed=7, track_channel_load=True,
+        )
+        sim, probe = self.compare(config, ("mesh:8x8", "west-first", "uniform"))
+        assert sim.result.delivered_packets > 0
+        # The drain window ends quiet: the last jump runs to the end.
+        assert probe.jumps[-1][1] == config.total_cycles
+        assert sim.quiet_cycles > config.total_cycles // 2
+
+    def test_fault_and_heal_land_in_a_quiet_window(self):
+        # The scripted worm streams asleep (every cycle quiet) until the
+        # link fault at 90 cuts it; the worm queued behind it then parks
+        # on the dead link (quiet again) until the heal at 250 grants it.
+        # With a watchdog too slow to fire, only the jump ages its header.
+        config = SimulationConfig(
+            offered_load=0.0, warmup_cycles=0, measure_cycles=600,
+            packet_timeout=500, track_channel_load=True,
+            fault_plan=FaultPlan(
+                events=(FaultEvent.channel(self.east_link(2), 90, 250),)
+            ),
+        )
+        sim, probe = self.compare(config, scripted=[self.ROW, self.ROW])
+        assert probe.jumped_to(90) and probe.jumped_to(250)
+        result = sim.result
+        assert result.killed_packets == 1 and result.delivered_packets == 1
+        (parked,) = [
+            event.cycle for event in self.events(sim, "header_advance")
+            if event.pid == 1 and event.node == 2
+        ]
+        assert result.max_stall_age_cycles == 249 - parked
+
+    def test_retry_backoff_expires_in_a_quiet_window(self):
+        config = SimulationConfig(
+            offered_load=0.0, warmup_cycles=0, measure_cycles=600,
+            max_retries=1, track_channel_load=True,
+            fault_plan=FaultPlan(
+                events=(FaultEvent.channel(self.east_link(3), 90, 100),)
+            ),
+        )
+        sim, probe = self.compare(config, scripted=[self.ROW])
+        due = 90 + config.retry_backoff_base
+        assert probe.jumped_to(due)
+        assert sim.result.retried_packets == 1
+        assert sim.result.delivered_packets == 1
+
+    def test_watchdog_expires_at_exactly_timeout_plus_one(self):
+        config = SimulationConfig(
+            offered_load=0.0, warmup_cycles=0, measure_cycles=600,
+            packet_timeout=100,
+            fault_plan=FaultPlan(events=(FaultEvent.channel(self.east_link(2)),)),
+        )
+        sim, probe = self.compare(config, scripted=[self.ROW])
+        (stalled,) = [
+            event.cycle for event in self.events(sim, "header_advance")
+            if event.node == 2
+        ]
+        (drop,) = self.events(sim, "dropped")
+        assert drop.cause == "timeout-stall"
+        assert drop.cycle == stalled + config.packet_timeout + 1
+        assert probe.jumped_to(drop.cycle)
+        assert sim.result.max_stall_age_cycles == config.packet_timeout + 1
+
+    def test_figure_1_deadlock_trips_on_the_same_cycle(self):
+        from repro.core import TurnModel
+        from repro.routing import TurnRestrictedMinimal
+        from repro.topology import Mesh2D
+        from repro.traffic import UniformPattern
+
+        mesh = Mesh2D(6, 6)
+        anything_goes = TurnRestrictedMinimal(
+            mesh, TurnModel.from_prohibited("none", 2, set())
+        )
+        config = SimulationConfig(
+            offered_load=8.0, warmup_cycles=0, measure_cycles=60_000,
+            deadlock_threshold=2_000, seed=2,
+        )
+        sim, probe = self.compare(
+            config,
+            make=lambda engine: engine(
+                anything_goes, UniformPattern(mesh), config, sink=ListSink()
+            ),
+        )
+        result = sim.result
+        assert result.deadlock
+        assert probe.jumped_to(result.deadlock_cycle)
+
+    def test_warmup_not_a_multiple_of_the_sample_period(self):
+        config = SimulationConfig(
+            offered_load=0.2, warmup_cycles=37, measure_cycles=500,
+            drain_cycles=150, seed=11, queue_sample_period=15,
+        )
+        sim, probe = self.compare(config, ("mesh:6x6", "north-last", "uniform"))
+        assert len(sim.result.backlog_samples) == len(
+            range(37, config.total_cycles, 15)
+        )
+        # Some jump starts before a sample cycle and covers it.
+        assert any(
+            (k - 37) % 15 == 0 for s, e in probe.jumps for k in range(s, e)
+        )
+
+    def test_channel_load_with_worms_asleep_across_a_jump(self):
+        config = SimulationConfig(
+            offered_load=0.2, warmup_cycles=40, measure_cycles=400,
+            seed=4, track_channel_load=True,
+        )
+        sim, probe = self.compare(config, scripted=[self.ROW, (30, 35, 200)])
+        assert sim.bulk_flit_hops > 0
+        assert sum(sim.result.channel_flits) > 0
+        # A jump crossed the warmup boundary while a worm slept.
+        assert any(s < 40 <= e for s, e in probe.jumps)
+
+    @pytest.mark.parametrize(
+        "collector", ["channel_series_period", "collect_router_blocked"]
+    )
+    def test_collectors_keep_the_skip_off(self, collector):
+        value = 50 if collector == "channel_series_period" else True
+        config = SimulationConfig(
+            offered_load=0.3, warmup_cycles=50, measure_cycles=400,
+            drain_cycles=100, seed=3, **{collector: value},
+        )
+        self.compare(config, ("mesh:6x6", "west-first", "uniform"), skip=False)

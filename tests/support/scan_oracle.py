@@ -4,11 +4,12 @@
 WormholeSimulator` running the pre-optimisation code paths — it visits
 every source every cycle instead of popping the arrival calendar, asks
 the routing algorithm directly on every decision instead of reading the
-shared ``NetworkTables``, never parks a blocked header, and never
-fast-forwards a streaming worm.  Everything else (arbitration order,
-movement, faults, watchdogs, accounting, observability) is inherited,
-so any divergence between the two isolates a bug in one shortcut.  The
-cross-equivalence suites require bit-identical results and traces.
+shared ``NetworkTables``, never parks a blocked header, never
+fast-forwards a streaming worm, and steps every quiet cycle.  Everything
+else (arbitration order, movement, faults, watchdogs, accounting,
+observability) is inherited, so any divergence between the two
+isolates a bug in one shortcut.  The cross-equivalence suites require
+bit-identical results and traces.
 
 It needs no numpy; import it as ``from scan_oracle import ScanSimulator``
 (the repository-root ``conftest.py`` puts this directory on
@@ -23,11 +24,13 @@ from repro.simulation.packet import Packet
 
 
 class ScanSimulator(WormholeSimulator):
-    """Scan-based generation and routing; no parking, no streaming."""
+    """Scan-based generation and routing; no parking, no streaming, no
+    quiet-cycle skip."""
 
     def __init__(self, algorithm, pattern, config, sink=None, profiler=None):
         super().__init__(algorithm, pattern, config, sink=sink, profiler=profiler)
         self._stream = False
+        self._quiet_skip = False
         # ``__init__`` bound (and, with a profiler, wrapped) the
         # lifecycle's calendar by name; swap in the scan and re-wrap it.
         generate = self._generate_scan

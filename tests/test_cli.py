@@ -565,6 +565,7 @@ class TestBenchCommand:
         assert set(report) == {"schema", "points"}
         assert set(report["points"]["tiny"]) == {
             "spec", "fingerprint", "worm_steps", "bulk_flit_hops",
+            "quiet_cycles",
         }
 
     def test_bench_gate_passes_against_itself(self, capsys, monkeypatch, tmp_path):
