@@ -3,8 +3,8 @@
 ROADMAP item 2: the event-driven engine (PR 4) still advances one
 Python ``Packet`` object at a time; this backend packs channel
 allocation, buffer occupancy, header position/direction, and per-packet
-timers into numpy struct-of-arrays and advances **every in-flight worm
-of every batched operating point** per cycle with boolean-mask kernels.
+timers into numpy struct-of-arrays and advances **every awake worm of
+every batched operating point** per cycle with boolean-mask kernels.
 :class:`BatchSimulator` stacks B independent operating points (sweep
 points, seeds) along one concatenated arena so a full
 figure sweep is a handful of numpy passes per cycle instead of
@@ -30,22 +30,28 @@ sets of ``repro.routing.virtual`` into the same integer LUTs, grant the
 engine's first free (direction, vc) pair of the lowest free direction,
 and serialise the one-flit-per-physical-link arbitration with the
 run-rank/lexsort technique so the engine's rotated per-member movement
-order is replayed exactly.  ``PhaseProfiler`` hooks do not demote
-either: a profiled run wraps each kernel pass of the one stage list
-(``_STAGES``) in a clock pair around unchanged state transitions, so it
-stays bit-identical.  Points outside the envelope (any other selection
-policy, fault plans, per-packet watchdogs, trace sinks, LUTs past the
-entry cap) run as one whole
+order is replayed exactly.  Streaming worms sleep in the kernels as
+they do in the event engine: a single-VC worm ejecting with every
+buffer fed leaves the movement pass until the cycle its last flit
+launches, then settles its owed cycles in one vectorized chain walk,
+so both engines skip the same determined work on the same cycles
+(equal ``worm_steps`` and ``bulk_flit_hops``).  ``PhaseProfiler``
+hooks do not demote either: a profiled run wraps each kernel pass of
+the one stage list (``_STAGES``) in a clock pair around unchanged state
+transitions, so it stays bit-identical.  Points outside the envelope
+(any other selection policy, fault plans, per-packet watchdogs, trace
+sinks, LUTs past the entry cap) run as one whole
 :class:`~repro.simulation.engine.WormholeSimulator` run each — the same
 code, therefore trivially bit-identical — so the whole configuration
 space is supported and the batch API is uniform.  The envelope is drawn
 where batching measured faster (docs/PERFORMANCE.md, "When batching
-wins"): the event engine's streaming worms sleep through faults,
-watchdogs and every selection policy, while kernels sweep every worm
-every cycle.  :func:`demotion_reasons` names the gate(s) any point
-failed, and :class:`BatchSimulator` counts demotions per reason so
-silent fast-path loss is visible (``repro sweep/faults/bench --backend
-array`` print the coverage fraction).
+wins"): under faults, watchdogs and the other selection policies the
+kernels paid for dead masks, congestion snapshots, policy
+serialisation and age scans that the event engine skips.
+:func:`demotion_reasons` names the gate(s) any point failed, and
+:class:`BatchSimulator` counts demotions per reason so silent fast-path
+loss is visible (``repro sweep/faults/bench --backend array`` print the
+coverage fraction).
 
 Generation, injection, and the delivery accounting are not
 reimplemented here: each vectorized member holds the same
@@ -75,7 +81,7 @@ except ImportError:  # pragma: no cover - exercised by the minimal-install job
 from ..observability.profiler import timed
 from ..routing.table import NetworkTables, network_index, shared_tables
 from .config import SimulationConfig
-from .engine import WormholeSimulator
+from .engine import WormholeSimulator, streams
 from .lifecycle import PacketLifecycle
 from .metrics import SimulationResult
 from .packet import Packet
@@ -130,6 +136,9 @@ _SLOT_FIELDS: Tuple[Tuple[str, int, str], ...] = (
     # rotation); valid only for multi-VC members, recomputed per cycle.
     ("pk_order", 0, "int64"),
     ("pk_dormant", 0, "bool"),
+    # First owed cycle of a streaming worm asleep in ``pk_dormant``
+    # (-1 when awake): the event engine's ``_owed``.
+    ("pk_owed", -1, "int64"),
     # Scratch flag for the link-arbitration wave loop (per-worm
     # "confirmed" marker; reset before each movement pass returns).
     ("pk_flag", 0, "bool"),
@@ -564,6 +573,22 @@ class _BatchCore:
             ((self.f_numvc > 1) & (self.f_mislimit > 0)).any()
         )
         self.m_lastprog = np.zeros(nfast, dtype=np.int64)
+        # Streaming worms (the event engine's rigid-streaming sleep):
+        # which members may sleep worms (:func:`~repro.simulation.engine.
+        # streams`), how many each has asleep, and the wake calendar
+        # ``{cycle: [slot arrays]}`` — a sleeper wakes on the cycle its
+        # last flit launches.
+        self.m_stream = np.asarray(
+            [streams(m.config) for m in self.fast], dtype=bool
+        )
+        self._any_stream = bool(self.m_stream.any())
+        self.m_asleep = np.zeros(nfast, dtype=np.int64)
+        self._wake_at: Dict[int, List] = {}
+        # Host-side work counters with the event engine's definitions
+        # (never part of a result): worms the movement pass stepped, and
+        # flit-hops settles applied in bulk instead.
+        self.worm_steps = 0
+        self.bulk_flit_hops = 0
         self.m_maxgrant = np.zeros(nfast, dtype=np.int64)
         # Per-member run-loop bookkeeping, vectorized so the cycle loop
         # touches Python only for members with work due this cycle.
@@ -689,15 +714,25 @@ class _BatchCore:
             self._staged.clear()
         self.live = live
 
-    def _drop_member_slots(self, fidx: int) -> None:
+    def _freeze(self, fidx: int, last_cycle: int) -> None:
+        """Stop a member after ``last_cycle`` (its run ended or it
+        deadlocked): settle its sleepers up to the cycle after, as the
+        event engine's ``finalize`` does, and drop its worms from the
+        kernels."""
+        member = self.fast[fidx]
+        member.frozen = True
+        member._last_cycle = last_cycle
+        self.m_act[fidx] = False
         live = self.live
         if live.size:
-            mine = self.pk_sim[live] == fidx
+            ours = self.pk_sim[live] == fidx
+            mine = live[ours]
+            if self.m_asleep[fidx]:
+                self._settle(mine[self.pk_owed[mine] >= 0], last_cycle + 1)
             # Dormant-mark so the held-channel scan in ``_move_vec``
             # never advances a frozen member's worms.
-            self.pk_dormant[live[mine]] = True
-            self.live = live[~mine]
-        member = self.fast[fidx]
+            self.pk_dormant[mine] = True
+            self.live = live[~ours]
         # Frozen members' worms never move again — drop their whole
         # channel range from the held scan (ownership stays recorded
         # for the finalize-time accounting).
@@ -916,6 +951,17 @@ class _BatchCore:
         live = self.live
         if live.size == 0:
             return
+        if self._wake_at:
+            # Streaming worms sleep in ``pk_dormant``.  Each one moves
+            # flits this cycle (progress, though nothing scans it), and
+            # the ones whose last flit launches now settle what they are
+            # owed and take this real step.
+            self.m_lastprog[self.m_asleep > 0] = cycle
+            due = self._wake_at.pop(cycle, None)
+            if due is not None:
+                due = np.concatenate(due)
+                # (a member that expired already settled its sleepers)
+                self._settle(due[self.pk_owed[due] >= 0], cycle)
         pk_state = self.pk_state
         pk_len = self.pk_len
         pk_launched = self.pk_launched
@@ -925,6 +971,7 @@ class _BatchCore:
         ch_prev = self.ch_prev
         ch_next = self.ch_next
         movers = live[~self.pk_dormant[live]]
+        self.worm_steps += movers.size
         if movers.size == 0:
             return
         if self._any_vc:
@@ -972,13 +1019,11 @@ class _BatchCore:
         launch_done: List = []
         blocked_slots = None
         held = np.nonzero(self.ch_held)[0]
-        if held.size:
-            own = self.ch_owner[held]
-            # Dormant worms cannot move (nothing changed since they
-            # parked); frozen members' channels are dormant-marked too.
-            awake = ~self.pk_dormant[own]
-            held = held[awake]
-            own = own[awake]
+        own = self.ch_owner[held]
+        # Dormant worms cannot move (nothing changed since they parked).
+        awake = ~self.pk_dormant[own]
+        held = held[awake]
+        own = own[awake]
         if held.size:
             length = pk_len[own]
             prev = ch_prev[held]
@@ -1147,6 +1192,76 @@ class _BatchCore:
             # A zero-move scan stays zero until an arbitration grant
             # wakes the worm (its buffers are private) — park it.
             self.pk_dormant[slots] = True
+        if self._any_stream and act.any():
+            self._sleep(movers[act], held, own, cycle)
+
+    def _sleep(self, moved, held, own, cycle: int) -> None:
+        """Put to sleep the worms that moved this cycle and are now
+        rigid streams: ejecting, with every held lane's buffer fed and
+        more than two flits left to launch, in a member that
+        :func:`~repro.simulation.engine.streams`.  Each passes exactly
+        one flit over every lane it holds per cycle until its source
+        runs dry, so it sleeps until the cycle its last flit launches
+        (the injection release must be a real step) — the event
+        engine's rule, on the same worms and cycles.  ``held``/``own``
+        are the pass's awake lanes and their owners: they include every
+        lane of a candidate, none of which released (its tail lane has
+        flits left to carry)."""
+        pk_sim = self.pk_sim
+        pk_launched = self.pk_launched
+        cand = moved[
+            (self.pk_state[moved] == _EJECTING)
+            & (self.pk_len[moved] - pk_launched[moved] > 2)
+            & self.m_stream[pk_sim[moved]]
+        ]
+        if cand.size == 0:
+            return
+        scratch = self.pk_scratch
+        starved = own[(self.ch_mb[held] & _MB_LOW) == 0]
+        scratch[starved] = True
+        cand = cand[~scratch[cand]]
+        scratch[starved] = False
+        if cand.size == 0:
+            return
+        # Its lanes leave the held scan until the worm settles.
+        scratch[cand] = True
+        self.ch_held[held[scratch[own]]] = False
+        scratch[cand] = False
+        self.pk_dormant[cand] = True
+        self.pk_owed[cand] = cycle + 1
+        self.m_asleep += np.bincount(pk_sim[cand], minlength=len(self.fast))
+        wake = cycle + self.pk_len[cand] - pk_launched[cand]
+        for due in np.unique(wake):
+            self._wake_at.setdefault(int(due), []).append(cand[wake == due])
+
+    def _settle(self, slots, upto) -> None:
+        """Wake sleeping worms: apply the cycles each slept through —
+        its first owed one up to (excluding) ``upto``, a cycle or one
+        per slot — in one chain walk from the tails, exactly as the
+        event engine's ``_settle``.  Each owed cycle launched, ejected
+        and moved one flit across every held lane (counted in ``loads``
+        from the member's warmup on), with every buffer unchanged."""
+        upto = np.broadcast_to(upto, slots.shape)
+        owed = upto - self.pk_owed[slots]
+        self.pk_owed[slots] = -1
+        self.pk_dormant[slots] = False
+        self.pk_launched[slots] += owed
+        self.pk_ejected[slots] += owed
+        self.m_asleep -= np.bincount(
+            self.pk_sim[slots], minlength=len(self.fast)
+        )
+        loads = self.loads
+        lane = self.pk_tail_ch[slots]
+        while lane.size:
+            self.ch_mb[lane] += owed << 32
+            self.ch_held[lane] = True
+            if loads is not None:
+                counted = np.minimum(owed, upto - self.ch_warm[lane])
+                loads[lane] += np.maximum(counted, 0)
+            self.bulk_flit_hops += int(owed.sum())
+            lane = self.ch_next[lane]
+            more = lane >= 0
+            lane, owed, upto = lane[more], owed[more], upto[more]
 
     def _solve_chains(self, held, b, cap):
         """Solve the per-chain move recurrence
@@ -1541,11 +1656,7 @@ class _BatchCore:
             expired = m_act & (self.m_total <= cycle)
             if expired.any():
                 for f in np.nonzero(expired)[0]:
-                    member = fast[int(f)]
-                    member.frozen = True
-                    member._last_cycle = member.total - 1
-                    m_act[f] = False
-                    self._drop_member_slots(int(f))
+                    self._freeze(int(f), int(self.m_total[f]) - 1)
             if not m_act.any():
                 break
             for stage in stages:
@@ -1560,16 +1671,13 @@ class _BatchCore:
                 & (self.m_inflight > 0)
             )[0]
             for f in dead:
-                member = fast[int(f)]
-                member.result.deadlock = True
-                member.result.deadlock_cycle = cycle
-                member.frozen = True
-                member._last_cycle = cycle
-                m_act[f] = False
-                self._drop_member_slots(int(f))
+                result = fast[int(f)].result
+                result.deadlock = True
+                result.deadlock_cycle = cycle
+                self._freeze(int(f), cycle)
         for member in fast:
             if not member.frozen:
-                member._last_cycle = member.total - 1
+                self._freeze(member.fidx, member.total - 1)
         return [self._finalize_fast(member) for member in fast]
 
 
@@ -1623,6 +1731,24 @@ class _Split:
         gates add ``"trace-sink"`` and ``"lut-cap"``).  A point failing
         several gates counts once per gate."""
         return dict(self._demotions)
+
+    def _work(self, name: str) -> int:
+        return getattr(self._core, name, 0) + sum(
+            getattr(sim, name) for sim in self._event if sim is not None
+        )
+
+    @property
+    def worm_steps(self) -> int:
+        """Worms the movement stage stepped one by one, summed over the
+        vectorized members and the event runs (the event engine's
+        definition).  A host-side counter, never part of a result."""
+        return self._work("worm_steps")
+
+    @property
+    def bulk_flit_hops(self) -> int:
+        """Flit-hops applied in bulk when streaming worms settled,
+        summed like :attr:`worm_steps`."""
+        return self._work("bulk_flit_hops")
 
     def _run_all(self) -> List[SimulationResult]:
         fast = iter(self._core.run() if self._core is not None else ())

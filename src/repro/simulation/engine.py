@@ -148,6 +148,15 @@ _STAGES = (
 )
 
 
+def streams(config: SimulationConfig) -> bool:
+    """Whether worms of this operating point may sleep while streaming
+    (see ``WormholeSimulator._move``): only when no per-cycle consumer
+    couples a worm to the outside — a link shared by virtual channels,
+    or the series collector's per-bucket channel counts.  Both engines
+    gate their fast-forward on this one test."""
+    return config.virtual_channels == 1 and config.channel_series_period == 0
+
+
 class WormholeSimulator:
     """Simulates one (algorithm, traffic pattern, load) operating point.
 
@@ -193,15 +202,11 @@ class WormholeSimulator:
         self.dormant: Set[Packet] = set()  # worms the movement stage skips
 
         # Streaming worms (see ``_move``): a sleeping worm's first owed
-        # cycle, and the calendar that wakes it.  Worms only sleep when
-        # no per-cycle consumer couples them to the outside — a shared
-        # link (virtual channels) or per-bucket channel counts (the
-        # series collector).
+        # cycle, and the calendar that wakes it.  Worms only sleep where
+        # :func:`streams` allows it.
         self._owed: Dict[Packet, int] = {}
         self._wake_at: Dict[int, List[Packet]] = {}  # cycle -> worms due
-        self._stream = (
-            config.virtual_channels == 1 and config.channel_series_period == 0
-        )
+        self._stream = streams(config)
         # Host-side work counters (never part of the result): worm steps
         # the movement stage executed one by one, flit-hops it applied
         # in bulk instead, and cycles ``run`` jumped over as quiet.

@@ -11,7 +11,11 @@ depth, message lengths, seed) must satisfy:
 * in-envelope points and demoted ones (fault plans, non-xy selection
   policies, watchdogs) batched in arbitrary compositions come back in
   input order, match per-point event-engine runs exactly, and exactly
-  the in-envelope points run on the vectorized kernels.
+  the in-envelope points run on the vectorized kernels;
+* single-VC batches whose worms stream (long messages, differing run
+  lengths, drain windows, short deadlock thresholds) equal per-point
+  event runs in results *and* in both work counters, so the kernels
+  sleep exactly the worms the event engine sleeps.
 """
 
 import dataclasses
@@ -268,3 +272,60 @@ class TestMixedBatches:
         assert [r.to_dict() for r in batched] == [
             r.to_dict() for r in solo
         ]
+
+
+@st.composite
+def streaming_point(draw):
+    """A single-VC in-envelope mesh point whose long messages stream,
+    with its own run length, drain window and deadlock threshold."""
+    m = draw(st.integers(3, 6))
+    algorithm = draw(
+        st.sampled_from(["xy", "west-first", "north-last", "negative-first"])
+    )
+    pattern = draw(st.sampled_from(["uniform", "transpose"]))
+    n = m if pattern == "transpose" else draw(st.integers(3, 6))
+    config = SimulationConfig(
+        offered_load=draw(st.sampled_from([0.3, 0.9, 1.6, 2.4])),
+        warmup_cycles=draw(st.integers(0, 80)),
+        measure_cycles=draw(st.integers(60, 320)),
+        drain_cycles=draw(st.sampled_from([0, 150])),
+        seed=draw(st.integers(0, 10_000)),
+        buffer_depth=draw(st.sampled_from([1, 2, 4])),
+        message_lengths=draw(
+            st.sampled_from([(10, 200), (1, 2, 5, 200), (3, 40)])
+        ),
+        deadlock_threshold=draw(st.sampled_from([30, 5_000])),
+        track_channel_load=draw(st.booleans()),
+        collect_router_blocked=draw(st.booleans()),
+        backend="array",
+    )
+    return f"mesh:{m}x{n}", algorithm, pattern, config
+
+
+class TestStreamingBatches:
+    """The streaming-sleep property: random single-VC in-envelope
+    batches (B <= 4) equal per-point event runs in every result and in
+    ``worm_steps`` / ``bulk_flit_hops``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(streaming_point(), min_size=1, max_size=4))
+    def test_batch_sleeps_what_the_event_engine_sleeps(self, points):
+        batch = BatchSimulator([build(*p) for p in points])
+        assert batch.vectorized_count == len(points)
+        batched = batch.run()
+        sims = [
+            WormholeSimulator(
+                *build(
+                    topo_spec, algorithm, pattern,
+                    dataclasses.replace(config, backend="event"),
+                )
+            )
+            for topo_spec, algorithm, pattern, config in points
+        ]
+        assert [r.to_dict() for r in batched] == [
+            sim.run().to_dict() for sim in sims
+        ]
+        assert (batch.worm_steps, batch.bulk_flit_hops) == (
+            sum(sim.worm_steps for sim in sims),
+            sum(sim.bulk_flit_hops for sim in sims),
+        )

@@ -40,6 +40,7 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.observability import ListSink
 from repro.routing.registry import make_algorithm
 from repro.simulation.array_engine import (
+    BatchSimulator,
     demotion_reasons,
     make_simulator,
     numpy_available,
@@ -854,3 +855,152 @@ class TestQuietCycleSkip:
             drain_cycles=100, seed=3, **{collector: value},
         )
         self.compare(config, ("mesh:6x6", "west-first", "uniform"), skip=False)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestArrayStreaming:
+    """The array kernels sleep the same streaming worms, on the same
+    cycles, as the event engine (docs/PERFORMANCE.md, "streaming
+    worms").  Each case runs one :class:`BatchSimulator` batch against
+    per-point event runs and compares every complete result and both
+    work counters — equal worm steps mean the kernels stepped exactly
+    the worms the event engine stepped — and checks which points'
+    worms slept.  A recorder on the core's settles shows where a sleep
+    ended: a wake, an expiring member, or the end of the batch."""
+
+    SPEC = ("mesh:6x6", "xy", "uniform")
+
+    @staticmethod
+    def run_batch(points, sleeps):
+        """Run ``points`` — ``((topology, algorithm, pattern), config)``
+        pairs — as one batch and per point on the event engine; return
+        the results and the ``(member, first owed cycle, upto)`` span of
+        every worm the core settled."""
+        import numpy as np
+
+        built = []
+        for (topology_spec, algorithm, pattern), config in points:
+            topology = parse_topology_spec(topology_spec)
+            built.append((
+                make_algorithm(algorithm, topology),
+                make_pattern(pattern, topology),
+                config,
+            ))
+        batch = BatchSimulator([
+            (a, p, dataclasses.replace(c, backend="array"))
+            for a, p, c in built
+        ])
+        assert batch.vectorized_count == len(points)
+        core = batch._core
+        spans = []
+        settle = core._settle
+
+        def recording(slots, upto):
+            spans.extend(zip(
+                core.pk_sim[slots].tolist(),
+                core.pk_owed[slots].tolist(),
+                np.broadcast_to(upto, slots.shape).tolist(),
+            ))
+            settle(slots, upto)
+
+        core._settle = recording
+        results = batch.run()
+        sims = [WormholeSimulator(*point) for point in built]
+        solo = [sim.run() for sim in sims]
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in solo]
+        assert batch.worm_steps == sum(sim.worm_steps for sim in sims)
+        assert batch.bulk_flit_hops == sum(sim.bulk_flit_hops for sim in sims)
+        assert [sim.bulk_flit_hops > 0 for sim in sims] == list(sleeps)
+        assert {member for member, _, _ in spans} == {
+            i for i, sleep in enumerate(sleeps) if sleep
+        }
+        assert batch.bulk_flit_hops > 0
+        return results, spans
+
+    def test_sleeps_across_the_warmup_boundary(self):
+        config = SimulationConfig(
+            offered_load=1.5, warmup_cycles=60, measure_cycles=300,
+            track_channel_load=True,
+        )
+        points = [(self.SPEC, config.with_seed(seed)) for seed in (1, 2)]
+        results, spans = self.run_batch(points, [True, True])
+        assert any(owed < 60 < upto for _, owed, upto in spans)
+        assert all(sum(r.channel_flits) > 0 for r in results)
+
+    def test_a_member_expires_with_worms_asleep(self):
+        points = [
+            (self.SPEC, SimulationConfig(
+                offered_load=1.0, warmup_cycles=50, measure_cycles=measure,
+                seed=3, track_channel_load=True,
+            ))
+            for measure in (150, 400, 260)
+        ]
+        _, spans = self.run_batch(points, [True, True, True])
+        # The shortest member's sleepers settled at its end, while the
+        # others kept stepping.
+        assert (0, 200) in {(member, upto) for member, _, upto in spans}
+
+    def test_batch_ends_with_worms_asleep(self):
+        config = SimulationConfig(
+            offered_load=3.0, warmup_cycles=30, measure_cycles=150, seed=4,
+            track_channel_load=True,
+        )
+        points = [(self.SPEC, config), (self.SPEC, config.with_seed(5))]
+        results, spans = self.run_batch(points, [True, True])
+        assert {member for member, _, upto in spans if upto == 180} == {0, 1}
+        assert all(r.inflight_at_end > 0 for r in results)
+
+    def test_compressed_worms_stream_at_depth_four(self):
+        config = SimulationConfig(
+            offered_load=2.0, warmup_cycles=50, measure_cycles=400, seed=3,
+            buffer_depth=4, message_lengths=(1, 2, 5, 200),
+        )
+        spec = ("mesh:6x6", "west-first", "transpose")
+        results, _ = self.run_batch(
+            [(spec, config), (spec, config.with_seed(8))], [True, True]
+        )
+        assert all(
+            set(r.latency_by_length) == {1, 2, 5, 200} for r in results
+        )
+
+    def test_a_sleep_longer_than_the_deadlock_threshold(self):
+        config = SimulationConfig(
+            offered_load=0.2, warmup_cycles=0, measure_cycles=1500, seed=6,
+            deadlock_threshold=40,
+        )
+        results, spans = self.run_batch(
+            [(self.SPEC, config), (self.SPEC, config.with_seed(9))],
+            [True, True],
+        )
+        assert max(upto - owed for _, owed, upto in spans) > 40
+        assert not any(r.deadlock for r in results)
+
+    def test_drain_window(self):
+        config = SimulationConfig(
+            offered_load=1.2, warmup_cycles=50, measure_cycles=250,
+            drain_cycles=300, seed=2, track_channel_load=True,
+        )
+        results, spans = self.run_batch(
+            [(self.SPEC, config), (self.SPEC, config.with_seed(7))],
+            [True, True],
+        )
+        # Worms launched before the drain window streamed into it.
+        assert any(upto > config.generation_cycles for _, _, upto in spans)
+        assert all(r.delivered_packets > 0 for r in results)
+
+    def test_only_single_vc_members_without_series_sleep(self):
+        base = SimulationConfig(
+            offered_load=1.2, warmup_cycles=50, measure_cycles=300, seed=6,
+        )
+        results, _ = self.run_batch(
+            [
+                (self.SPEC, base),
+                (
+                    ("torus:6x2", "dateline-dimension-order", "uniform"),
+                    dataclasses.replace(base, virtual_channels=2),
+                ),
+                (self.SPEC, base.with_observability(channel_series_period=50)),
+            ],
+            [True, False, False],
+        )
+        assert results[2].channel_util_series
