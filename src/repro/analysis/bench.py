@@ -193,6 +193,14 @@ CANONICAL_POINTS: Tuple[PinnedPoint, ...] = (
         warmup_cycles=500, measure_cycles=2_000, seed=7, fault_links=4,
         packet_timeout=800, max_retries=2, drain_cycles=500,
     ),
+    # The paper's torus shape with dateline VCs: its work counters pin
+    # the multi-VC streaming sleep (a worm alone on its links sleeps).
+    PinnedPoint(
+        id="torus8-dateline-vc2", topology="torus:8x2",
+        algorithm="dateline-dimension-order", pattern="uniform",
+        offered_load=1.2, warmup_cycles=300, measure_cycles=1_200, seed=7,
+        virtual_channels=2, buffer_depth=4, quick=True,
+    ),
     # Seed sweeps, each run as one array batch.  The first is the regime
     # batching targets (docs/PERFORMANCE.md): deep buffers near saturation.
     PinnedPoint(

@@ -31,11 +31,13 @@ engine's first free (direction, vc) pair of the lowest free direction,
 and serialise the one-flit-per-physical-link arbitration with the
 run-rank/lexsort technique so the engine's rotated per-member movement
 order is replayed exactly.  Streaming worms sleep in the kernels as
-they do in the event engine: a single-VC worm ejecting with every
-buffer fed leaves the movement pass until the cycle its last flit
-launches, then settles its owed cycles in one vectorized chain walk,
-so both engines skip the same determined work on the same cycles
-(equal ``worm_steps`` and ``bulk_flit_hops``).  ``PhaseProfiler``
+they do in the event engine: a worm ejecting with every buffer fed —
+with virtual channels, the only holder of one lane on each of its
+physical links — leaves the movement pass until the cycle its last
+flit launches (or a sibling lane of one of its links is granted), then
+settles its owed cycles in one vectorized chain walk, so both engines
+skip the same determined work on the same cycles (equal
+``worm_steps`` and ``bulk_flit_hops``).  ``PhaseProfiler``
 hooks do not demote either: a profiled run wraps each kernel pass of
 the one stage list (``_STAGES``) in a clock pair around unchanged state
 transitions, so it stays bit-identical.  Points outside the envelope
@@ -514,6 +516,13 @@ class _BatchCore:
         self._link_min = np.full(link_off + 1, _NEVER, dtype=np.int64)
         self._link_taken = np.full(link_off + 1, _NEVER, dtype=np.int64)
         self._link_dup = np.zeros(link_off + 1, dtype=bool)
+        # Multi-VC streaming (see ``_sleep``): lanes held per physical
+        # link, kept at grant and release, and the sleeping worm (slot)
+        # each link belongs to, -1 for none.  Unused without VCs.
+        self.link_holders = self.link_sleeper = None
+        if self._any_vc:
+            self.link_holders = np.zeros(link_off, dtype=np.int64)
+            self.link_sleeper = np.full(link_off, -1, dtype=np.int64)
         # Per-cycle inverse of the sorted held-channel array
         # (``_ch_pos[held] = arange``): O(1) gathers where the chain
         # solver and link arbitration would otherwise bisect.
@@ -918,6 +927,17 @@ class _BatchCore:
         return gchan[np.arange(rows.size), pick], mis[rows, pick]
 
     def _grant_channels(self, slots, chans, mis, cycle: int) -> None:
+        if self.link_holders is not None:
+            links = self.ch_link[chans]
+            if self._wake_at:
+                # A sibling lane of a sleeper's link is taken: the link
+                # is shared from now on, so the sleeper settles and
+                # takes this cycle's movement step awake.
+                woken = self.link_sleeper[links]
+                woken = woken[woken >= 0]
+                if woken.size:
+                    self._settle(np.unique(woken), cycle)
+            np.add.at(self.link_holders, links, 1)
         sims = self.pk_sim[slots]
         measured = cycle >= self.f_warmup[sims]
         if measured.any():
@@ -960,6 +980,10 @@ class _BatchCore:
             due = self._wake_at.pop(cycle, None)
             if due is not None:
                 due = np.concatenate(due)
+                if self.link_sleeper is not None:
+                    # A worm woken by a grant can fall asleep again
+                    # until the same cycle, and is then listed twice.
+                    due = np.unique(due)
                 # (a member that expired already settled its sleepers)
                 self._settle(due[self.pk_owed[due] >= 0], cycle)
         pk_state = self.pk_state
@@ -970,7 +994,8 @@ class _BatchCore:
         ch_mb = self.ch_mb
         ch_prev = self.ch_prev
         ch_next = self.ch_next
-        movers = live[~self.pk_dormant[live]]
+        awake = ~self.pk_dormant[live]
+        movers = live[awake]
         self.worm_steps += movers.size
         if movers.size == 0:
             return
@@ -979,10 +1004,14 @@ class _BatchCore:
             # its mover list by ``cycle % len(movers)`` when num_vc > 1,
             # which decides who claims a contested physical link first
             # and the order of same-cycle arrivals/deliveries/releases.
-            # ``movers`` is ascending-slot (= the engine's insertion
+            # The list counts the sleepers (awake, they would move).
+            # ``ring`` is ascending-slot (= the engine's insertion
             # order), so a stable member sort + run rank reproduces each
             # member's pre-rotation position exactly.
-            sims_mv = self.pk_sim[movers]
+            ring = movers
+            if self._wake_at:
+                ring = live[awake | (self.pk_owed[live] >= 0)]
+            sims_mv = self.pk_sim[ring]
             oidx = np.argsort(sims_mv, kind="stable")
             so = sims_mv[oidx]
             rank = _run_ranks(so)
@@ -990,7 +1019,7 @@ class _BatchCore:
             rr = rank - cycle % cnt
             neg = rr < 0
             rr[neg] += cnt[neg]
-            self.pk_order[movers[oidx]] = rr
+            self.pk_order[ring[oidx]] = rr
         act = np.zeros(movers.size, dtype=bool)
         state = pk_state[movers]
         heads = pk_head_ch[movers]
@@ -1119,6 +1148,8 @@ class _BatchCore:
             if sel.size == 0:
                 break
             released = tail[rel]
+            if self.link_holders is not None:
+                np.subtract.at(self.link_holders, self.ch_link[released], 1)
             self.ch_owner[released] = -1
             self.ch_held[released] = False
             self.ch_freed[released] = True
@@ -1199,14 +1230,17 @@ class _BatchCore:
         """Put to sleep the worms that moved this cycle and are now
         rigid streams: ejecting, with every held lane's buffer fed and
         more than two flits left to launch, in a member that
-        :func:`~repro.simulation.engine.streams`.  Each passes exactly
-        one flit over every lane it holds per cycle until its source
-        runs dry, so it sleeps until the cycle its last flit launches
-        (the injection release must be a real step) — the event
-        engine's rule, on the same worms and cycles.  ``held``/``own``
-        are the pass's awake lanes and their owners: they include every
-        lane of a candidate, none of which released (its tail lane has
-        flits left to carry)."""
+        :func:`~repro.simulation.engine.streams`, and — with virtual
+        channels — the only holder of one lane on each of its physical
+        links.  Each passes exactly one flit over every lane it holds
+        per cycle until its source runs dry, so it sleeps until the
+        cycle its last flit launches (the injection release must be a
+        real step) — the event engine's rule, on the same worms and
+        cycles.  A sleeper's links map to it in ``link_sleeper``, so a
+        grant of a sibling lane wakes it (``_grant_channels``).
+        ``held``/``own`` are the pass's awake lanes and their owners:
+        they include every lane of a candidate, none of which released
+        (its tail lane has flits left to carry)."""
         pk_sim = self.pk_sim
         pk_launched = self.pk_launched
         cand = moved[
@@ -1217,15 +1251,25 @@ class _BatchCore:
         if cand.size == 0:
             return
         scratch = self.pk_scratch
-        starved = own[(self.ch_mb[held] & _MB_LOW) == 0]
-        scratch[starved] = True
+        # Lanes that keep their owner awake: an empty buffer, or a link
+        # the owner does not hold alone — another worm holds a lane of
+        # it, or the owner holds two (an escape misroute revisit).
+        keep = (self.ch_mb[held] & _MB_LOW) == 0
+        if self.link_holders is not None:
+            keep |= self.link_holders[self.ch_link[held]] != 1
+        keep = own[keep]
+        scratch[keep] = True
         cand = cand[~scratch[cand]]
-        scratch[starved] = False
+        scratch[keep] = False
         if cand.size == 0:
             return
         # Its lanes leave the held scan until the worm settles.
         scratch[cand] = True
-        self.ch_held[held[scratch[own]]] = False
+        mine = scratch[own]
+        lanes = held[mine]
+        self.ch_held[lanes] = False
+        if self.link_sleeper is not None:
+            self.link_sleeper[self.ch_link[lanes]] = own[mine]
         scratch[cand] = False
         self.pk_dormant[cand] = True
         self.pk_owed[cand] = cycle + 1
@@ -1251,10 +1295,13 @@ class _BatchCore:
             self.pk_sim[slots], minlength=len(self.fast)
         )
         loads = self.loads
+        link_sleeper = self.link_sleeper
         lane = self.pk_tail_ch[slots]
         while lane.size:
             self.ch_mb[lane] += owed << 32
             self.ch_held[lane] = True
+            if link_sleeper is not None:
+                link_sleeper[self.ch_link[lane]] = -1
             if loads is not None:
                 counted = np.minimum(owed, upto - self.ch_warm[lane])
                 loads[lane] += np.maximum(counted, 0)

@@ -59,11 +59,13 @@ the numbers captured before any of this existed):
   arbitration grant wakes it (this keeps saturated-network cycles
   cheap).  A worm ejecting with every buffer fed is *streaming*: each
   cycle passes exactly one flit over every channel it holds until its
-  source runs dry, so it sleeps until the cycle its last flit launches
-  and is then *settled* — the cycles it is owed applied in one pass
-  over its holds — before that cycle's real step.  A fault that kills
-  it, and ``finalize``, settle it earlier.  Every release, delivery and
-  trace event still happens in a real step, in ``active`` order;
+  source runs dry — with virtual channels, while no other worm holds a
+  lane of its physical links — so it sleeps until the cycle its last
+  flit launches and is then *settled* — the cycles it is owed applied
+  in one pass over its holds — before that cycle's real step.  A grant
+  of a sibling lane on one of its links, a fault that kills it, and
+  ``finalize``, settle it earlier.  Every release, delivery and trace
+  event still happens in a real step, in ``active`` order;
 * **quiet-cycle skip** — on a cycle with no due arrival, retry, fault
   or wake, no pending injection, no unparked header and no awake worm,
   no stage can change state.  :meth:`WormholeSimulator.run` jumps over
@@ -150,11 +152,12 @@ _STAGES = (
 
 def streams(config: SimulationConfig) -> bool:
     """Whether worms of this operating point may sleep while streaming
-    (see ``WormholeSimulator._move``): only when no per-cycle consumer
-    couples a worm to the outside — a link shared by virtual channels,
-    or the series collector's per-bucket channel counts.  Both engines
-    gate their fast-forward on this one test."""
-    return config.virtual_channels == 1 and config.channel_series_period == 0
+    (see ``WormholeSimulator._move``): only when the series collector's
+    per-bucket channel counts do not observe every cycle.  A link shared
+    by virtual channels is excluded per worm, not per point (see
+    ``WormholeSimulator._alone``).  Both engines gate their fast-forward
+    on this one test."""
+    return config.channel_series_period == 0
 
 
 class WormholeSimulator:
@@ -203,9 +206,12 @@ class WormholeSimulator:
 
         # Streaming worms (see ``_move``): a sleeping worm's first owed
         # cycle, and the calendar that wakes it.  Worms only sleep where
-        # :func:`streams` allows it.
+        # :func:`streams` allows it.  With virtual channels, each
+        # physical link a sleeper holds maps to it, so a grant of a
+        # sibling lane can wake it (see ``_alone``).
         self._owed: Dict[Packet, int] = {}
         self._wake_at: Dict[int, List[Packet]] = {}  # cycle -> worms due
+        self._link_sleeper: Dict[int, Packet] = {}
         self._stream = streams(config)
         # Host-side work counters (never part of the result): worm steps
         # the movement stage executed one by one, flit-hops it applied
@@ -616,9 +622,12 @@ class WormholeSimulator:
             channel_requests.setdefault(cid, []).append(packet)
             if misroute:
                 misrouting.add(packet)
+        grant = self._grant_channel
+        if self._link_sleeper:
+            grant = self._grant_shared_link
         for cid, contenders in channel_requests.items():
             winner = self.input_policy(contenders, rng)
-            self._grant_channel(winner, cid, winner in misrouting)
+            grant(winner, cid, winner in misrouting)
         for node, contenders in eject_requests.items():
             winner = self.input_policy(contenders, rng)
             self.ejection_alloc[node] = winner
@@ -638,6 +647,16 @@ class WormholeSimulator:
         self._emit(
             TraceEvent(BLOCKED, cycle, pid=packet.pid, node=packet.head_node)
         )
+
+    def _grant_shared_link(self, packet: Packet, cid: int, misroute: bool) -> None:
+        """``_grant_channel`` while worms sleep on virtual channels: a
+        sibling lane of a sleeper's link is taken, so the link is shared
+        from now on — the sleeper settles first and takes this cycle's
+        movement step awake."""
+        sleeper = self._link_sleeper.get(cid // self.num_vc)
+        if sleeper is not None:
+            self._settle(sleeper, self.cycle)
+        self._grant_channel(packet, cid, misroute)
 
     def _grant_channel(self, packet: Packet, cid: int, misroute: bool) -> None:
         if self.cycle >= self.config.warmup_cycles:
@@ -691,20 +710,32 @@ class WormholeSimulator:
             if owed:
                 self.last_progress = cycle
             for packet in self._wake_at.pop(cycle, ()):
-                if packet in owed:  # (a worm killed asleep stays listed)
+                if packet in owed:  # (a worm woken or killed early stays listed)
                     self._settle(packet, cycle)
-        if dormant:
-            movers = [p for p in self.active if p not in dormant]
-        else:
+        num_vc = self.num_vc
+        if not dormant:
             movers = list(self.active)
-        self.worm_steps += len(movers)
-        links_used = None
-        if self.num_vc > 1 and movers:
+        elif num_vc > 1 and self._owed:
+            # The service rotation below counts the sleepers (awake,
+            # they would move), then skips them.
+            owed = self._owed
+            movers = [p for p in self.active if p not in dormant or p in owed]
+        else:
+            movers = [p for p in self.active if p not in dormant]
+        links_used = rigid = None
+        if num_vc > 1 and movers:
             # Virtual channels share their physical link: one flit per
-            # link per cycle.  Rotate service order for fairness.
+            # link per cycle.  Rotate service order for fairness.  Which
+            # streaming worms hold their links alone shows only after
+            # the whole pass, so ``rigid`` collects them until then.
             links_used = set()
+            rigid = []
             rotation = cycle % len(movers)
             movers = movers[rotation:] + movers[:rotation]
+            if self._owed:
+                owed = self._owed
+                movers = [p for p in movers if p not in owed]
+        self.worm_steps += len(movers)
         stream = self._stream
         for packet in movers:
             self._link_blocked = False
@@ -719,23 +750,53 @@ class WormholeSimulator:
                     and packet.length - packet.launched > 2
                     and all(hold.buffered for hold in packet.holds)
                 ):
-                    # Rigid streaming: ejecting with every buffer fed,
-                    # this worm passes exactly one flit over each held
-                    # channel per cycle — through resources nobody else
-                    # can touch — until its source runs dry.  Sleep
-                    # until the cycle the last flit launches (the
-                    # injection release must be a real step).
-                    self._owed[packet] = cycle + 1
-                    self._wake_at.setdefault(
-                        cycle + packet.length - packet.launched, []
-                    ).append(packet)
-                    dormant.add(packet)
+                    if rigid is None:
+                        self._sleep(packet, cycle)
+                    else:
+                        rigid.append(packet)
             elif not self._link_blocked:
                 # A worm's buffers are private, so a zero-move scan stays
                 # zero until an arbitration grant un-parks the packet —
                 # unless the link-sharing arbitration (not the worm's own
                 # state) caused the stall, which can clear next cycle.
                 dormant.add(packet)
+        if rigid:
+            for packet in rigid:
+                if self._alone(packet):
+                    self._sleep(packet, cycle)
+
+    def _sleep(self, packet: Packet, cycle: int) -> None:
+        """Rigid streaming: ejecting with every buffer fed, this worm
+        passes exactly one flit over each held channel per cycle —
+        through resources nobody else can touch — until its source runs
+        dry.  Sleep until the cycle the last flit launches (the
+        injection release must be a real step)."""
+        self._owed[packet] = cycle + 1
+        last_launch = cycle + packet.length - packet.launched
+        self._wake_at.setdefault(last_launch, []).append(packet)
+        self.dormant.add(packet)
+
+    def _alone(self, packet: Packet) -> bool:
+        """Whether a streaming worm on virtual channels holds each of
+        its physical links once (an escape misroute can revisit one,
+        and its own lanes then contend) and no other worm holds a lane
+        of any: only then is its streaming its own.  If so it is about
+        to sleep, and its links map to it in ``_link_sleeper``: only a
+        grant can add a holder, and ``_grant_shared_link`` wakes the
+        sleeper first."""
+        num_vc = self.num_vc
+        holds = packet.holds
+        links = {hold.channel_id // num_vc for hold in holds}
+        if len(links) < len(holds):
+            return False
+        alloc = self.channel_alloc
+        for link in links:
+            for cid in range(link * num_vc, (link + 1) * num_vc):
+                if alloc[cid] is not None and alloc[cid] is not packet:
+                    return False
+        for link in links:
+            self._link_sleeper[link] = packet
+        return True
 
     def _settle(self, packet: Packet, upto: int) -> None:
         """Wake a streaming worm: apply, in one pass over its holds, the
@@ -746,6 +807,9 @@ class WormholeSimulator:
         cycles = upto - self._owed.pop(packet)
         self.dormant.discard(packet)
         holds = packet.holds
+        if self.num_vc > 1:
+            for hold in holds:
+                del self._link_sleeper[hold.channel_id // self.num_vc]
         packet.launched += cycles
         packet.ejected += cycles
         for hold in holds:

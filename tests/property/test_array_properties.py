@@ -12,10 +12,11 @@ depth, message lengths, seed) must satisfy:
   policies, watchdogs) batched in arbitrary compositions come back in
   input order, match per-point event-engine runs exactly, and exactly
   the in-envelope points run on the vectorized kernels;
-* single-VC batches whose worms stream (long messages, differing run
-  lengths, drain windows, short deadlock thresholds) equal per-point
-  event runs in results *and* in both work counters, so the kernels
-  sleep exactly the worms the event engine sleeps.
+* batches whose worms stream (long messages, differing run lengths,
+  drain windows, short deadlock thresholds; single-VC meshes and 2-3 VC
+  tori and meshes with misroute budgets) equal per-point event runs in
+  results *and* in both work counters, so the kernels sleep exactly the
+  worms the event engine sleeps.
 """
 
 import dataclasses
@@ -36,6 +37,7 @@ from repro.simulation.array_engine import (  # noqa: E402
 )
 from repro.simulation.config import SimulationConfig  # noqa: E402
 from repro.simulation.engine import WormholeSimulator  # noqa: E402
+from sleeper_probe import SleeperProbe  # noqa: E402
 
 
 @st.composite
@@ -302,13 +304,57 @@ def streaming_point(draw):
     return f"mesh:{m}x{n}", algorithm, pattern, config
 
 
+@st.composite
+def streaming_vc_point(draw):
+    """A 2-3 VC in-envelope torus or mesh point whose long messages
+    stream, with a misroute budget of 0-2."""
+    if draw(st.booleans()):
+        topo_spec = f"torus:{draw(st.sampled_from([4, 6, 8]))}x2"
+        algorithm = draw(
+            st.sampled_from(
+                ["dateline-dimension-order", "negative-first-torus"]
+            )
+        )
+    else:
+        topo_spec = f"mesh:{draw(st.integers(3, 5))}x{draw(st.integers(3, 5))}"
+        algorithm = draw(
+            st.sampled_from(
+                ["escape-vc-adaptive", "west-first", "negative-first"]
+            )
+        )
+    config = SimulationConfig(
+        offered_load=draw(st.sampled_from([0.3, 0.9, 1.6, 2.4])),
+        warmup_cycles=draw(st.integers(0, 80)),
+        measure_cycles=draw(st.integers(60, 320)),
+        drain_cycles=draw(st.sampled_from([0, 150])),
+        seed=draw(st.integers(0, 10_000)),
+        virtual_channels=draw(st.integers(2, 3)),
+        misroute_limit=draw(st.integers(0, 2)),
+        buffer_depth=draw(st.sampled_from([1, 2, 4])),
+        message_lengths=draw(
+            st.sampled_from([(10, 200), (1, 2, 5, 200), (3, 40)])
+        ),
+        deadlock_threshold=draw(st.sampled_from([30, 5_000])),
+        track_channel_load=draw(st.booleans()),
+        collect_router_blocked=draw(st.booleans()),
+        backend="array",
+    )
+    return topo_spec, algorithm, "uniform", config
+
+
 class TestStreamingBatches:
-    """The streaming-sleep property: random single-VC in-envelope
-    batches (B <= 4) equal per-point event runs in every result and in
-    ``worm_steps`` / ``bulk_flit_hops``."""
+    """The streaming-sleep property: random in-envelope batches (B <= 4)
+    of single-VC and multi-VC points equal per-point event runs in every
+    result and in ``worm_steps`` / ``bulk_flit_hops``, and every event
+    run keeps the sleeper invariants (``SleeperProbe``)."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(streaming_point(), min_size=1, max_size=4))
+    @given(
+        st.lists(
+            st.one_of(streaming_point(), streaming_vc_point()),
+            min_size=1, max_size=4,
+        )
+    )
     def test_batch_sleeps_what_the_event_engine_sleeps(self, points):
         batch = BatchSimulator([build(*p) for p in points])
         assert batch.vectorized_count == len(points)
@@ -322,6 +368,8 @@ class TestStreamingBatches:
             )
             for topo_spec, algorithm, pattern, config in points
         ]
+        for sim in sims:
+            SleeperProbe(sim)
         assert [r.to_dict() for r in batched] == [
             sim.run().to_dict() for sim in sims
         ]

@@ -38,6 +38,7 @@ from sleeper_probe import SleeperProbe
 from repro.analysis.runner import make_pattern, parse_topology_spec
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.observability import ListSink
+from repro.routing.dimension_order import XY
 from repro.routing.registry import make_algorithm
 from repro.simulation.array_engine import (
     BatchSimulator,
@@ -48,6 +49,7 @@ from repro.simulation.array_engine import (
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import WormholeSimulator
 from repro.simulation.packet import PacketState
+from repro.topology import EAST, NORTH, SOUTH, WEST
 
 
 def build(topology_spec, algorithm, pattern, config, oracle, sink=None):
@@ -629,7 +631,7 @@ class TestStreamingWorms:
         )
         self.check(config, ("mesh:6x6", "west-first", "transpose"))
 
-    # -- (e) the exclusions stay awake --------------------------------------
+    # -- (e) what keeps worms awake -----------------------------------------
 
     def test_series_collector_keeps_worms_awake(self):
         config = SimulationConfig(
@@ -640,13 +642,28 @@ class TestStreamingWorms:
         assert result.channel_util_series
 
     def test_virtual_channels_keep_worms_awake(self):
+        # With virtual channels a streaming worm that shares a physical
+        # link stays awake (the probe checks every sleeper is alone on
+        # its links); the others sleep.
         config = SimulationConfig(
-            offered_load=1.2, warmup_cycles=50, measure_cycles=400, seed=6,
+            offered_load=3.0, warmup_cycles=50, measure_cycles=400, seed=6,
             virtual_channels=2,
         )
-        self.check(
-            config, ("mesh:5x5", "escape-vc-adaptive", "uniform"), bulk=False
-        )
+        spec = ("mesh:5x5", "escape-vc-adaptive", "uniform")
+        ref, opt = self.pair(config, spec)
+        probe = SleeperProbe(opt)
+        shared = 0
+        for cycle in range(1, config.total_cycles):
+            self.step_to((ref, opt), cycle)
+            shared += sum(
+                shares_a_link(opt, p) for p in opt.active
+                if p.state is PacketState.EJECTING and p not in opt.dormant
+                and p.length - p.launched > 2
+                and all(hold.buffered for hold in p.holds)
+            )
+        assert shared > 0  # awake streamers that would sleep if alone
+        self.finish(ref, opt)
+        assert probe.checks > config.total_cycles // 2
 
     # -- (f) the deadlock watchdog sees sleeping worms move ----------------
 
@@ -661,6 +678,18 @@ class TestStreamingWorms:
         result = self.finish(ref, opt)
         assert not result.deadlock
         assert result.delivered_flits == 400
+
+
+def shares_a_link(sim, packet):
+    """Whether another worm holds a lane of a physical link ``packet``
+    holds, or ``packet`` holds one twice."""
+    num_vc, alloc = sim.num_vc, sim.channel_alloc
+    links = [hold.channel_id // num_vc for hold in packet.holds]
+    return len(set(links)) < len(links) or any(
+        alloc[cid] is not None and alloc[cid] is not packet
+        for link in links
+        for cid in range(link * num_vc, (link + 1) * num_vc)
+    )
 
 
 def engine_clock(sim):
@@ -906,7 +935,9 @@ class TestArrayStreaming:
         core._settle = recording
         results = batch.run()
         sims = [WormholeSimulator(*point) for point in built]
+        probes = [SleeperProbe(sim) for sim in sims]
         solo = [sim.run() for sim in sims]
+        assert all(probe.checks > 1 for probe in probes)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in solo]
         assert batch.worm_steps == sum(sim.worm_steps for sim in sims)
         assert batch.bulk_flit_hops == sum(sim.bulk_flit_hops for sim in sims)
@@ -989,6 +1020,8 @@ class TestArrayStreaming:
         assert all(r.delivered_packets > 0 for r in results)
 
     def test_only_single_vc_members_without_series_sleep(self):
+        # (The name predates multi-VC sleep: a 2-VC member sleeps too;
+        # only the series collector keeps a member's worms awake.)
         base = SimulationConfig(
             offered_load=1.2, warmup_cycles=50, measure_cycles=300, seed=6,
         )
@@ -1001,6 +1034,240 @@ class TestArrayStreaming:
                 ),
                 (self.SPEC, base.with_observability(channel_series_period=50)),
             ],
-            [True, False, False],
+            [True, True, False],
         )
         assert results[2].channel_util_series
+
+
+class DetourOnce(XY):
+    """xy routing on a ``mesh:3x3``, except that a header bound for node
+    2 from node 0 circles the square 0-1-4-3 on VC0 and then takes the
+    link 0 -> 1 again on VC1: the revisit an escape misroute can make."""
+
+    LOOP = {
+        (0, None, None): (EAST, 0),
+        (1, EAST, 0): (NORTH, 0),
+        (4, NORTH, 0): (WEST, 0),
+        (3, WEST, 0): (SOUTH, 0),
+        (0, SOUTH, 0): (EAST, 1),
+        (1, EAST, 1): (EAST, 1),
+    }
+
+    def vc_candidates(self, current, dest, in_direction, in_vc, num_vc):
+        step = self.LOOP.get((current, in_direction, in_vc))
+        if dest == 2 and step is not None:
+            return [step]
+        return super().vc_candidates(
+            current, dest, in_direction, in_vc, num_vc
+        )[:1]
+
+
+class TestMultiVCStreaming:
+    """With virtual channels a streaming worm sleeps only while it is
+    the sole holder of one lane on each physical link it holds
+    (docs/PERFORMANCE.md, "streaming worms"); a grant of a sibling lane
+    wakes it.  Scripted cases compare the event engine with the scan
+    oracle — the complete result and the ordered trace — under a
+    ``SleeperProbe`` (``TestStreamingWorms.finish``); batch cases
+    compare a :class:`BatchSimulator` batch with per-point event runs
+    in every result and in both work counters
+    (``TestArrayStreaming.run_batch``)."""
+
+    RING = ("torus:8x1", "dateline-dimension-order", "uniform")
+    TORUS = ("torus:6x2", "dateline-dimension-order", "uniform")
+    SCRIPTED = SimulationConfig(
+        offered_load=0.0, warmup_cycles=0, measure_cycles=700,
+        virtual_channels=2, track_channel_load=True,
+    )
+
+    def pair(self, config, spec=RING, make=None):
+        """(scan oracle, event engine, probe on the event engine)."""
+        sims = []
+        for engine in (ScanSimulator, WormholeSimulator):
+            if make is None:
+                topology = parse_topology_spec(spec[0])
+                algorithm = make_algorithm(spec[1], topology)
+            else:
+                algorithm = make()
+                topology = algorithm.topology
+            sims.append(engine(
+                algorithm, make_pattern(spec[2], topology), config,
+                sink=ListSink(),
+            ))
+        return sims[0], sims[1], SleeperProbe(sims[1])
+
+    @staticmethod
+    def play(sims, script):
+        """Queue each scripted ``(cycle, src, dst, length)`` message at
+        its cycle on every simulator; return the event engine's packets."""
+        packets = []
+        for cycle, src, dst, length in script:
+            for sim in sims:
+                while sim.cycle < cycle:
+                    assert not sim.step()
+                packet = sim.inject_packet(src, dst, length)
+            packets.append(packet)
+        return packets
+
+    step_to = TestStreamingWorms.step_to
+    finish = TestStreamingWorms.finish
+
+    def oracle_check(self, spec, config):
+        """A random-traffic point: event engine (probed) vs scan oracle."""
+        ref, opt, probe = self.pair(config, spec)
+        self.finish(ref, opt)
+        assert probe.checks > 1
+
+    # -- scripted: the event engine against the scan oracle ----------------
+
+    def test_grant_on_a_sibling_lane_wakes_the_sleeper(self):
+        # A crosses the dateline 7 -> 0 and sleeps on VC1 of link 0 -> 1;
+        # B's header is granted VC0 of that link mid-sleep.
+        ref, opt, _ = self.pair(self.SCRIPTED)
+        (a,) = self.play((ref, opt), [(0, 6, 1, 200)])
+        self.step_to((ref, opt), 40)
+        assert a in opt._owed
+        owed = opt._owed[a]
+        (b,) = self.play((ref, opt), [(40, 0, 2, 20)])
+        self.step_to((ref, opt), 41)
+        assert a not in opt._owed  # settled by the grant, stepped awake
+        assert shares_a_link(opt, a) and a.launched > 40 - owed
+        while a not in opt._owed:
+            self.step_to((ref, opt), opt.cycle + 1)
+        # Asleep again once B's tail left link 0 -> 1, B still in flight.
+        assert b.holds and not shares_a_link(opt, a)
+        assert opt.cycle > 60  # B's 20 flits shared the link first
+        self.finish(ref, opt)
+
+    def test_dateline_switch_inside_a_sleeping_worm(self):
+        ref, opt, _ = self.pair(self.SCRIPTED)
+        (a,) = self.play((ref, opt), [(0, 6, 1, 200)])
+        self.step_to((ref, opt), 30)
+        assert a in opt._owed
+        assert {hold.channel_id % 2 for hold in a.holds} == {0, 1}
+        self.finish(ref, opt)
+
+    def test_a_worm_revisiting_a_link_never_sleeps(self):
+        # The looping worm waits at node 2 behind another worm's
+        # ejection, its buffers fill, and on its first ejecting cycle it
+        # moves with every buffer fed — a sleep candidate holding link
+        # 0 -> 1 on both VCs, which must stay awake.
+        config = dataclasses.replace(self.SCRIPTED, buffer_depth=2)
+        ref, opt, _ = self.pair(
+            config, make=lambda: DetourOnce(parse_topology_spec("mesh:3x3"))
+        )
+        candidates = []
+        alone = opt._alone
+
+        def recording(packet):
+            candidates.append(
+                (packet, [hold.channel_id // 2 for hold in packet.holds])
+            )
+            return alone(packet)
+
+        opt._alone = recording
+        _, looping = self.play((ref, opt), [(0, 5, 2, 200), (0, 0, 2, 200)])
+        result = self.finish(ref, opt)
+        (links,) = [links for p, links in candidates if p is looping]
+        assert len(set(links)) < len(links)
+        assert result.delivered_packets == 2
+        # Every bulk hop was the blocker's, on its one lane: 197 cycles.
+        assert opt.bulk_flit_hops == 197
+
+    def test_a_sleeper_between_two_link_contending_worms(self):
+        # Active order is Y (0 -> 2), S (3 -> 5), X (6 -> 1): X and Y
+        # share link 0 -> 1 on VC1/VC0 for their whole streams, and S
+        # sleeps alone between them.  The rotation that decides which
+        # of X and Y crosses the link each cycle counts S.
+        ref, opt, _ = self.pair(self.SCRIPTED)
+        x, s, y = self.play(
+            (ref, opt), [(0, 6, 1, 200), (0, 3, 5, 200), (0, 0, 2, 200)]
+        )
+        self.step_to((ref, opt), 30)
+        assert list(opt.active) == [y, s, x] and list(opt._owed) == [s]
+        assert shares_a_link(opt, x) and shares_a_link(opt, y)
+        self.finish(ref, opt)
+
+    # -- random traffic: batches against per-point event runs --------------
+
+    def test_track_channel_load_across_warmup(self):
+        config = SimulationConfig(
+            offered_load=1.2, warmup_cycles=60, measure_cycles=300,
+            virtual_channels=2, buffer_depth=4, track_channel_load=True,
+        )
+        self.oracle_check(self.TORUS, config.with_seed(1))
+        if not numpy_available():
+            return
+        results, spans = TestArrayStreaming.run_batch(
+            [(self.TORUS, config.with_seed(seed)) for seed in (1, 2)],
+            [True, True],
+        )
+        assert any(owed < 60 < upto for _, owed, upto in spans)
+        assert all(sum(r.channel_flits) > 0 for r in results)
+
+    def test_drain_window(self):
+        config = SimulationConfig(
+            offered_load=1.2, warmup_cycles=50, measure_cycles=250,
+            drain_cycles=300, seed=2, virtual_channels=2,
+            track_channel_load=True,
+        )
+        self.oracle_check(self.TORUS, config)
+        if not numpy_available():
+            return
+        results, spans = TestArrayStreaming.run_batch(
+            [(self.TORUS, config), (self.TORUS, config.with_seed(7))],
+            [True, True],
+        )
+        assert any(upto > config.generation_cycles for _, _, upto in spans)
+        assert all(r.delivered_packets > 0 for r in results)
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_a_2vc_member_expires_asleep_in_a_mixed_batch(self):
+        base = SimulationConfig(
+            offered_load=1.2, warmup_cycles=50, measure_cycles=300, seed=4,
+            track_channel_load=True,
+        )
+        vc = dataclasses.replace(base, virtual_channels=2, buffer_depth=4)
+        _, spans = TestArrayStreaming.run_batch(
+            [
+                (("mesh:6x6", "xy", "uniform"), base),
+                (self.TORUS, dataclasses.replace(vc, measure_cycles=150)),
+                (("mesh:5x5", "escape-vc-adaptive", "uniform"), vc),
+            ],
+            [True, True, True],
+        )
+        # The short 2-VC member's sleepers settled at its end while the
+        # others kept stepping.
+        assert (1, 200) in {(member, upto) for member, _, upto in spans}
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_a_regranted_sleeper_is_listed_twice_on_the_calendar(
+        self, monkeypatch
+    ):
+        # A sleeper woken by a sibling-lane grant loses no launch at
+        # depth 4 and falls asleep again until the same cycle, so its
+        # slot appears twice in one ``_wake_at`` entry; it must settle
+        # once (results and ``bulk_flit_hops`` equal the event runs').
+        import numpy as np
+
+        from repro.simulation.array_engine import _BatchCore
+
+        config = SimulationConfig(
+            offered_load=1.2, warmup_cycles=100, measure_cycles=400, seed=5,
+            virtual_channels=2, buffer_depth=4,
+        )
+        spec = ("torus:8x2", "dateline-dimension-order", "uniform")
+        duplicates = []
+        move = _BatchCore._move_vec
+
+        def counting(core, cycle):
+            due = core._wake_at.get(cycle)
+            if due is not None:
+                slots = np.concatenate(due)
+                slots = slots[core.pk_owed[slots] >= 0]
+                duplicates.append(slots.size - np.unique(slots).size)
+            move(core, cycle)
+
+        monkeypatch.setattr(_BatchCore, "_move_vec", counting)
+        TestArrayStreaming.run_batch([(spec, config)], [True])
+        assert sum(duplicates) > 0

@@ -10,9 +10,14 @@ comparing set sizes, which is only sound if
   ``active``), so ``len(dormant) == len(active)`` means no worm moves;
 * every sleeping streaming worm is on the wake calendar at or after
   its first owed cycle, so a cycle that is not a ``_wake_at`` key wakes
-  nobody.
+  nobody;
+* every sleeping worm is alone on its physical links: each lane of each
+  link it holds is its own or free, and it holds no link twice — so
+  with virtual channels no other worm's flit can take a cycle of its
+  links — and, with virtual channels, ``_link_sleeper`` maps exactly
+  the sleepers' links (the map a sibling-lane grant wakes through).
 
-:class:`SleeperProbe` checks all three after every stepped cycle and
+:class:`SleeperProbe` checks all four after every stepped cycle and
 every quiet jump of one simulator.  It also classifies each cycle it
 sees stepped against the definition of a skippable cycle, written out
 here from the sets themselves rather than their sizes, so a test can
@@ -94,6 +99,22 @@ class SleeperProbe:
                 due >= owed and packet in worms
                 for due, worms in sim._wake_at.items()
             ), f"sleeping worm {packet.pid} has no wake at or after {owed}"
+        num_vc, alloc = sim.num_vc, sim.channel_alloc
+        links = {}
+        for packet in sim._owed:
+            mine = [hold.channel_id // num_vc for hold in packet.holds]
+            assert len(set(mine)) == len(mine), (
+                f"sleeping worm {packet.pid} holds a link twice"
+            )
+            for link in mine:
+                for cid in range(link * num_vc, (link + 1) * num_vc):
+                    assert alloc[cid] is None or alloc[cid] is packet, (
+                        f"sleeping worm {packet.pid} shares link {link}"
+                    )
+                links[link] = packet
+        assert sim._link_sleeper == (links if num_vc > 1 else {}), (
+            "the link-sleeper map is not the sleepers' links"
+        )
         self.checks += 1
 
     def jumped_to(self, cycle: int) -> bool:
