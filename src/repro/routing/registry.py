@@ -12,6 +12,7 @@ from typing import Callable, Dict, List
 
 from ..topology.base import Topology
 from ..topology.hypercube import Hypercube
+from ..topology.mesh import Mesh, Mesh2D
 from ..topology.torus import KAryNCube
 from .base import RoutingAlgorithm
 from .dimension_order import DimensionOrder, ECube, XY
@@ -24,6 +25,7 @@ from .ndim import (
 )
 from .pcube import NonminimalPCube, PCube
 from .torus import ClassifiedNegativeFirst, FirstHopWraparound
+from .turn_restricted import TurnRestrictedMinimal
 from .virtual import DatelineDimensionOrder, EscapeVCAdaptive
 
 Factory = Callable[[Topology], RoutingAlgorithm]
@@ -72,6 +74,34 @@ def make_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
             f"unknown routing algorithm {name!r}; known: {algorithm_names()}"
         )
     return _FACTORIES[key](topology)
+
+
+_CLASSED = frozenset(_FACTORIES.values())
+
+
+def offset_classed(algorithm: RoutingAlgorithm) -> bool:
+    """Whether ``algorithm``'s direction-level answers at a node depend
+    only on the arrival direction, each dimension's offset to the
+    destination clamped to ``-2..2``, and (for escapes) which edges the
+    node lies on — so :class:`~repro.routing.table.NetworkTables` may ask
+    once per such key.
+
+    True for the registry's own classes, unmodified, on meshes and
+    hypercubes, and for :class:`TurnRestrictedMinimal` under any 2D
+    turn model (a minimal journey there needs at most two directions).
+    The equivalence suite checks every one of them against direct
+    queries (``tests/routing/test_decision_keys.py``); a subclass, an
+    instance override or another topology is not certified.
+    """
+    topology = algorithm.topology
+    if type(topology) not in (Mesh, Mesh2D, Hypercube):
+        return False
+    if {"candidates", "escape_candidates"} & vars(algorithm).keys():
+        return False
+    kind = type(algorithm)
+    return kind in _CLASSED or (
+        kind is TurnRestrictedMinimal and topology.n_dims == 2
+    )
 
 
 def mesh_algorithms(topology: Topology) -> List[RoutingAlgorithm]:

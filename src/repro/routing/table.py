@@ -17,7 +17,10 @@ so nothing is rebuilt per operating point:
   runtime channel id, misroute bit)`` per decision, derived lazily and
   shared by every simulator and batch that runs the algorithm
   (:func:`shared_tables`, a bounded least-recently-used registry keyed by
-  object identity — a hand-built or spy algorithm gets its own);
+  object identity — a hand-built or spy algorithm gets its own).  The
+  algorithm is asked once per *decision key*: on meshes and hypercubes
+  the turn-model families answer by arrival direction and offset class
+  alone (Sections 3-5), so one answer serves every node it fits;
 * :class:`RoutingTable` — a standalone direction-level memo of the four
   candidate queries with per-node invalidation, for callers outside the
   simulators.
@@ -35,6 +38,7 @@ so a table-backed simulation is bit-identical to a table-free one.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import (
     Callable, Dict, FrozenSet, List, Optional, Set, Tuple, TypeVar,
 )
@@ -48,6 +52,9 @@ T = TypeVar("T")
 #: One routing decision: ``(direction, runtime channel id, misroute bit)``
 #: per candidate, in the algorithm's order.
 Decision = Tuple[Tuple[Direction, int, int], ...]
+#: A decision before it is placed at a node: ``(direction, virtual
+#: channel, misroute bit)`` per candidate.
+Moves = Tuple[Tuple[Direction, int, int], ...]
 
 
 class NetworkIndex:
@@ -59,7 +66,7 @@ class NetworkIndex:
 
     __slots__ = (
         "channels", "directions", "dir_index", "channel_index",
-        "in_neighbors",
+        "in_neighbors", "coords",
     )
 
     def __init__(self, topology: Topology) -> None:
@@ -83,6 +90,9 @@ class NetworkIndex:
         self.in_neighbors: Dict[int, FrozenSet[int]] = {
             node: frozenset(srcs) for node, srcs in neighbors.items()
         }
+        self.coords: Tuple[Tuple[int, ...], ...] = tuple(
+            map(topology.coords, topology.nodes())
+        )
 
     def affected_nodes(self, node: int, channel_only: bool) -> Set[int]:
         """Nodes whose fault-masked answers a fault event at ``node``
@@ -119,6 +129,18 @@ class NetworkTables:
     dict, filled on first use; equal decisions are interned, so a full
     table costs one dict slot per decision rather than a tuple each.
 
+    A miss asks the algorithm for node-free ``(direction, vc, misroute
+    bit)`` moves and places them at the node with its channel ids.  When
+    :func:`~repro.routing.registry.offset_classed` certifies the
+    algorithm, the moves are memoised in :attr:`memo` under ``(escape,
+    dir_index, classes)``, each dimension's offset clamped to ``-2..2``,
+    plus one edge flag per dimension (1 at coordinate 0, 2 at ``k - 1``)
+    for escape queries, which test whether a neighbour exists; a cold
+    table then asks once per key, not once per decision.  Otherwise —
+    tori, virtual channels, hand-built or overridden algorithms — the
+    key would be the exact ``(port, dest)``, which the port's row
+    already remembers, so the algorithm is asked once per decision.
+
     With ``num_vc == 1`` the algorithm's direction-level queries are
     asked (as the engines always did); otherwise its ``vc_*`` queries,
     and pairs naming a missing physical channel or an out-of-range VC
@@ -130,11 +152,13 @@ class NetworkTables:
 
     __slots__ = (
         "algorithm", "topology", "index", "num_vc", "channels",
-        "channel_ids", "node_ports", "arrive_port", "array_lut",
-        "_minimal", "_escape", "_interned",
+        "channel_ids", "node_ports", "arrive_port", "array_lut", "memo",
+        "_classed", "_clamp", "_placed", "_minimal", "_escape", "_interned",
     )
 
     def __init__(self, algorithm: RoutingAlgorithm, num_vc: int = 1) -> None:
+        from .registry import offset_classed  # the registry imports us
+
         self.algorithm = algorithm
         self.topology: Topology = algorithm.topology
         self.index = index = network_index(self.topology)
@@ -162,10 +186,23 @@ class NetworkTables:
             for i, c in enumerate(self.channels)
         ]
         self.array_lut = None
+        #: class key -> the algorithm's moves (see the class docstring)
+        self.memo: Dict[tuple, Moves] = {}
+        self._classed = num_vc == 1 and offset_classed(algorithm)
+        if self._classed:
+            top = max(self.topology.dims)
+            # ``_clamp[delta]`` is delta's class for -top < delta < top
+            # (negative deltas index from the end).
+            self._clamp = tuple(
+                [min(d, 2) for d in range(top)]
+                + [max(d, -2) for d in range(1 - top, 0)]
+            )
         ports = self.topology.num_nodes * self.node_ports
         self._minimal: List[Optional[Dict[int, Decision]]] = [None] * ports
         self._escape: List[Optional[Dict[int, Decision]]] = [None] * ports
         self._interned: Dict[tuple, tuple] = {}
+        #: ``id(moves) * num_nodes + node -> Decision`` (class-keyed only)
+        self._placed: Dict[int, Decision] = {}
 
     def minimal(self, port: int, dest: int) -> Decision:
         """The algorithm's candidates for a header at ``port`` bound for
@@ -193,8 +230,48 @@ class NetworkTables:
         num_vc = self.num_vc
         rest, in_vc = divmod(port, num_vc)
         node, diridx = divmod(rest, self.node_ports // num_vc)
+        if not self._classed:
+            # An exact key is asked once: the port's row keeps the answer.
+            return self._place(node, self._ask(node, diridx, in_vc, dest, escape))
+        coords = self.index.coords
+        deltas = map(sub, coords[dest], coords[node])
+        key = (escape, diridx, tuple(map(self._clamp.__getitem__, deltas)))
+        if escape:
+            key += (tuple(
+                (c == 0) + 2 * (c == k - 1)
+                for c, k in zip(coords[node], self.topology.dims)
+            ),)
+        moves = self.memo.get(key)
+        if moves is None:
+            moves = self.memo[key] = self._ask(node, diridx, in_vc, dest, escape)
+        # Moves are interned and never dropped, so their ids are stable.
+        placed = id(moves) * self.topology.num_nodes + node
+        decision = self._placed.get(placed)
+        if decision is None:
+            decision = self._placed[placed] = self._place(node, moves)
+        return decision
+
+    def _place(self, node: int, moves: Moves) -> Decision:
+        """``moves`` at ``node``: each with its runtime channel id."""
+        channel_ids = self.channel_ids
+        intern = self._interned.setdefault
+        out = []
+        for direction, vc, misroute in moves:
+            cid = channel_ids[(node, direction)]
+            if vc:
+                cid += vc
+            candidate = (direction, cid, misroute)
+            out.append(intern(candidate, candidate))
+        decision = tuple(out)
+        return intern(decision, decision)
+
+    def _ask(
+        self, node: int, diridx: int, in_vc: int, dest: int, escape: bool
+    ) -> Moves:
+        """The algorithm's answer at ``node`` as node-free moves."""
         in_direction = self.index.directions[diridx - 1] if diridx else None
         algorithm = self.algorithm
+        num_vc = self.num_vc
         if num_vc == 1:
             query = (
                 algorithm.escape_candidates if escape
@@ -212,7 +289,6 @@ class NetworkTables:
         channel_ids = self.channel_ids
         channels = self.channels
         distance = self.topology.distance
-        intern = self._interned.setdefault
         here = None
         out = []
         for direction, vc in pairs:
@@ -225,11 +301,11 @@ class NetworkTables:
                 cid = base + vc
             if here is None:
                 here = distance(node, dest)
-            misroute = int(distance(channels[cid].dst, dest) >= here)
-            candidate = (direction, cid, misroute)
-            out.append(intern(candidate, candidate))
-        decision = tuple(out)
-        return intern(decision, decision)
+            out.append(
+                (direction, vc, int(distance(channels[cid].dst, dest) >= here))
+            )
+        moves = tuple(out)
+        return self._interned.setdefault(moves, moves)
 
     @property
     def num_entries(self) -> int:

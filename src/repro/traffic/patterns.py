@@ -155,11 +155,17 @@ class HypercubeTransposePattern(TrafficPattern):
         return None if dst == src else dst
 
 
+def _require_hypercube(topology: Topology, pattern: str) -> None:
+    if not isinstance(topology, Hypercube):
+        raise ValueError(f"{pattern} traffic requires a binary hypercube")
+
+
 class ReverseFlipPattern(TrafficPattern):
     """Hypercube node ``(x0..x_{n-1})`` sends to the complemented
     bit-reversal ``(~x_{n-1}, ..., ~x0)``."""
 
     def __init__(self, topology: Hypercube) -> None:
+        _require_hypercube(topology, "reverse-flip")
         super().__init__(topology)
 
     @property
@@ -178,6 +184,7 @@ class BitComplementPattern(TrafficPattern):
     """Every node sends to its bitwise complement (extra workload)."""
 
     def __init__(self, topology: Hypercube) -> None:
+        _require_hypercube(topology, "bit-complement")
         super().__init__(topology)
 
     @property

@@ -1,0 +1,57 @@
+"""The class-keyed routing tables checked exhaustively at every size the
+keys are claimed for: every registered algorithm on every 2D mesh from
+2x2 to 16x16, every 3D mesh up to 4x4x4 and every binary cube up to 8;
+``TurnRestrictedMinimal`` over all 16 two-turn prohibition sets on the
+square meshes, and over every one of the 256 subsets of the eight 2D
+turns on ``mesh:5x6``.
+
+Not collected by default (its name does not start with ``test_``): run
+it by path, ``python -m pytest -q tests/routing/wide_decision_keys.py``
+(about 25 minutes on one core).  ``test_decision_keys.py`` runs the same
+check at tier-1 sizes.
+"""
+
+import itertools
+
+import pytest
+from decision_keys import assert_tables_answer_directly, registered_on
+
+from repro.analysis.runner import parse_topology_spec
+from repro.core import TurnModel, two_turn_prohibitions_2d
+from repro.core.turns import ninety_degree_turns
+from repro.routing import TurnRestrictedMinimal
+
+SIDES = range(2, 17)
+SPECS = (
+    [f"mesh:{m}x{n}" for m, n in itertools.product(SIDES, SIDES)]
+    + [
+        "mesh:" + "x".join(map(str, dims))
+        for dims in itertools.product(range(2, 5), repeat=3)
+    ]
+    + [f"cube:{n}" for n in range(1, 9)]
+)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_registered_algorithms(spec):
+    for algorithm in registered_on(spec):
+        assert_tables_answer_directly(algorithm)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("index", range(16))
+def test_two_turn_prohibition_sets(side, index):
+    model = TurnModel.from_prohibited(
+        f"two-turn-{index}", 2, two_turn_prohibitions_2d()[index]
+    )
+    topology = parse_topology_spec(f"mesh:{side}x{side}")
+    assert_tables_answer_directly(TurnRestrictedMinimal(topology, model))
+
+
+@pytest.mark.parametrize("mask", range(256))
+def test_every_2d_turn_model(mask):
+    turns = sorted(ninety_degree_turns(2), key=repr)
+    prohibited = [turn for bit, turn in enumerate(turns) if mask >> bit & 1]
+    model = TurnModel.from_prohibited(f"mask-{mask}", 2, prohibited)
+    topology = parse_topology_spec("mesh:5x6")
+    assert_tables_answer_directly(TurnRestrictedMinimal(topology, model))
