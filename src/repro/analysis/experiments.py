@@ -5,13 +5,13 @@ Each ``figure*``/``table*``/``section*`` function regenerates the rows or
 series behind that artifact.  Two presets control cost:
 
 * ``FAST`` — reduced topology-faithful runs (same 256-node networks,
-  shorter windows, fewer load points); minutes on a laptop.  Used by the
-  benchmark suite.
+  shorter windows, fewer load points); seconds per figure.
 * ``FULL`` — longer windows and denser load grids for smoother curves.
 
 Absolute numbers are properties of our simulator, not of the authors'
 hardware testbed; the *shape* comparisons (who wins, by what factor) are
-what EXPERIMENTS.md tracks.
+what EXPERIMENTS.md tracks, over eight seeds of a denser preset
+(``scripts/collect_experiments.py``, ``repro.analysis.claims``).
 """
 
 from __future__ import annotations
@@ -72,23 +72,14 @@ FULL = ExperimentPreset(
 )
 
 
-def _mesh(preset: ExperimentPreset):
-    return Mesh2D(16, 16)
-
-
-def _cube(preset: ExperimentPreset):
-    return Hypercube(8)
-
-
 def figure13_mesh_uniform(
     preset: ExperimentPreset = FAST,
     progress: Optional[Callable] = None,
     runner: Optional[ParallelSweepRunner] = None,
 ) -> List[SweepSeries]:
     """Figure 13: xy / WF / NL / NF under uniform traffic, 16x16 mesh."""
-    mesh = _mesh(preset)
     return compare_algorithms(
-        mesh_algorithms(mesh),
+        mesh_algorithms(Mesh2D(16, 16)),
         lambda topo: UniformPattern(topo),
         preset.mesh_loads,
         preset.config(),
@@ -103,9 +94,8 @@ def figure14_mesh_transpose(
     runner: Optional[ParallelSweepRunner] = None,
 ) -> List[SweepSeries]:
     """Figure 14: the same four algorithms under matrix-transpose."""
-    mesh = _mesh(preset)
     return compare_algorithms(
-        mesh_algorithms(mesh),
+        mesh_algorithms(Mesh2D(16, 16)),
         lambda topo: MeshTransposePattern(topo),
         preset.mesh_loads,
         preset.config(),
@@ -121,9 +111,8 @@ def figure15_cube_transpose(
 ) -> List[SweepSeries]:
     """Figure 15: e-cube / ABONF / ABOPL / p-cube under the embedded
     matrix transpose, binary 8-cube."""
-    cube = _cube(preset)
     return compare_algorithms(
-        hypercube_algorithms(cube),
+        hypercube_algorithms(Hypercube(8)),
         lambda topo: HypercubeTransposePattern(topo),
         preset.cube_loads,
         preset.config(),
@@ -138,9 +127,8 @@ def figure16_cube_reverse_flip(
     runner: Optional[ParallelSweepRunner] = None,
 ) -> List[SweepSeries]:
     """Figure 16: the same four algorithms under reverse-flip."""
-    cube = _cube(preset)
     return compare_algorithms(
-        hypercube_algorithms(cube),
+        hypercube_algorithms(Hypercube(8)),
         lambda topo: ReverseFlipPattern(topo),
         preset.cube_loads,
         preset.config(),

@@ -1,7 +1,7 @@
 """Paper-style text output for sweeps and saturation summaries.
 
 The paper's figures are latency-vs-throughput curves; these helpers print
-them as aligned text tables (one series per algorithm) so a benchmark run
+them as aligned text tables (one series per algorithm) so ``repro figure``
 reproduces the figure as rows rather than pixels.
 """
 
@@ -16,13 +16,10 @@ from .sweep import SweepSeries
 def format_figure(
     title: str,
     series: Sequence[SweepSeries],
-    note: Optional[str] = None,
     chart: bool = True,
 ) -> str:
     """Render one figure's series as a text block (tables + ASCII chart)."""
     lines: List[str] = [f"== {title} =="]
-    if note:
-        lines.append(f"   {note}")
     for s in series:
         lines.append("")
         lines.extend(s.rows())

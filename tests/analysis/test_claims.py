@@ -1,30 +1,138 @@
-"""Unit tests for the Section 6 claims helpers."""
+"""The scoreboard over the committed data file (docs/data/experiments.json).
+
+Tier-1 re-derives every verdict, floor and generated block of
+EXPERIMENTS.md from the committed file, so a hand edit of a block, or of
+one seed's value, fails here.  Regenerate both with
+``python scripts/collect_experiments.py``.
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import uniform_nonadaptive_wins
-from repro.analysis.sweep import SweepSeries
+from repro.analysis.claims import (
+    CLAIMS,
+    Experiments,
+    Row,
+    evaluate,
+    exact_quantities,
+    floor_findings,
+    load_experiments,
+    render_blocks,
+    splice,
+    verdict,
+)
+
+REPO = Path(__file__).resolve().parents[2]
+DATA = REPO / "docs" / "data" / "experiments.json"
+DOC = REPO / "EXPERIMENTS.md"
+
+# A finding, reported in EXPERIMENTS.md and never re-seeded: at load 0.5
+# a Figure 14 point measures a few hundred messages, and seed 8's draw of
+# sources averages 5.3% above the analytic 34/3 hops (all four algorithms
+# alike: minimal routes have one length).
+FINDINGS = [
+    "seed 8 breaks: mean hops at the lowest load are within 5% of the analytic "
+    "mean (worst: fig14 xy 11.94 vs 11.33)"
+]
 
 
-def fake_series(name, best):
-    series = SweepSeries(name, "uniform", [])
-    series.max_sustainable_throughput = lambda: best  # noqa: E731
-    return series
+@pytest.fixture(scope="module")
+def data():
+    return load_experiments(DATA)
 
 
-class TestUniformNonadaptiveWins:
-    def test_true_when_baseline_leads(self):
-        series = [fake_series("xy", 100.0), fake_series("west-first", 90.0)]
-        assert uniform_nonadaptive_wins(series)
+class TestCommittedData:
+    def test_eight_paired_seeds(self, data):
+        assert data.seeds == tuple(range(1, 9))
 
-    def test_tolerates_five_percent(self):
-        series = [fake_series("e-cube", 100.0), fake_series("p-cube", 104.0)]
-        assert uniform_nonadaptive_wins(series)
+    def test_floors_hold_but_for_the_recorded_findings(self, data):
+        # Among them: west-first and north-last rows are equal on Figure 14
+        # at every seed and load.
+        assert floor_findings(data) == FINDINGS
 
-    def test_false_when_adaptive_clearly_leads(self):
-        series = [fake_series("xy", 100.0), fake_series("west-first", 120.0)]
-        assert not uniform_nonadaptive_wins(series)
+    def test_verdicts(self, data):
+        assert [result for _, _, result in evaluate(data)] == [
+            "reproduced", "direction-only", "not-reproduced", "reproduced",
+            "direction-only", "not-reproduced", "not-reproduced",
+        ]
 
-    def test_requires_a_baseline(self):
-        with pytest.raises(ValueError):
-            uniform_nonadaptive_wins([fake_series("west-first", 1.0)])
+    def test_generated_blocks_match_the_data(self, data):
+        text = DOC.read_text(encoding="utf-8")
+        assert splice(text, render_blocks(data)) == text
+
+    def test_exact_quantities_recompute(self, data):
+        assert data.exact == exact_quantities()
+
+
+class TestMutations:
+    def test_a_hand_edited_block_fails(self, data):
+        text = DOC.read_text(encoding="utf-8")
+        begin = text.index("<!-- generated: fig15 -->")
+        edited = text[:begin] + text[begin:].replace("| abonf | ", "| abonf | 9", 1)
+        assert splice(edited, render_blocks(data)) != edited
+
+    def test_one_altered_seed_breaks_a_floor(self, data):
+        top = data.loads["fig16"][-1]
+        rows = [
+            r._replace(throughput=1e4)
+            if (r.figure, r.algorithm, r.seed, r.load) == ("fig16", "e-cube", 3, top)
+            else r
+            for r in data.rows
+        ]
+        altered = Experiments(data.seeds, data.loads, rows, data.exact)
+        assert floor_findings(altered) == [
+            "seed 3 breaks: fig16: abonf/abopl/p-cube beat e-cube's throughput "
+            "at the top load",
+            *FINDINGS,
+        ]
+
+
+def _drop(column, name):
+    return lambda doc: doc.update(rows=[r for r in doc["rows"] if r[column] != name])
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (lambda doc: doc.update(schema=2), "schema 2"),
+        (lambda doc: doc["seeds"].append(9), "seed 9"),
+        (_drop(1, "abopl"), "algorithm abopl"),
+        (_drop(0, "fig15"), "figure fig15"),
+        (lambda doc: doc.pop("rows"), "rows"),
+        (lambda doc: doc["exact"].pop("hops"), "exact hops"),
+    ],
+    ids=["schema", "missing-seed", "missing-algorithm", "missing-figure", "field",
+         "missing-exact"],
+)
+def test_bad_data_is_a_value_error(tmp_path, mutate, named):
+    doc = json.loads(DATA.read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / "experiments.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=named):
+        load_experiments(path)
+
+
+class TestVerdict:
+    def test_reproduced_when_the_interval_clears_one_and_reaches_f(self):
+        assert verdict(1.04, 1.29, 1) == "reproduced"
+        assert verdict(1.93, 2.11, 2) == "reproduced"
+
+    def test_direction_only_when_the_interval_stops_short_of_f(self):
+        assert verdict(2.53, 3.79, 4) == "direction-only"
+
+    def test_not_reproduced_unless_every_seed_is_above_one(self):
+        assert verdict(1.0, 3.0, 2) == "not-reproduced"
+        assert verdict(0.95, 1.49, 1.5) == "not-reproduced"
+
+
+class TestClaim:
+    def test_paired_ratio_takes_the_best_of_each_term(self):
+        best = {"xy": 100.0, "west-first": 180.0, "north-last": 150.0}
+        rows = [Row("fig14", a, 1, 1.0, t, 5.0, True, 11.0) for a, t in best.items()]
+        rows.append(Row("fig14", "negative-first", 1, 1.0, 500.0, 9.0, False, 11.0))
+        data = Experiments((1,), {}, rows, {})
+        assert CLAIMS[1].ratio(data, 1) == pytest.approx(1.8)
+        assert CLAIMS[2].ratio(data, 1) == 0.0

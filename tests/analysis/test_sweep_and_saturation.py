@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     SweepSeries,
-    adaptive_vs_nonadaptive,
     compare_algorithms,
     find_saturation,
     find_saturation_many,
@@ -115,19 +114,6 @@ class TestSaturation:
 
 
 class TestClaimsHelpers:
-    def test_adaptive_vs_nonadaptive_ratio(self):
-        a = SweepSeries("xy", "transpose", [])
-        b = SweepSeries("west-first", "transpose", [])
-        a.max_sustainable_throughput = lambda: 100.0  # noqa: E731
-        b.max_sustainable_throughput = lambda: 180.0  # noqa: E731
-        ratio = adaptive_vs_nonadaptive([a, b])
-        assert ratio.ratio == pytest.approx(1.8)
-        assert ratio.best_adaptive == "west-first"
-
-    def test_adaptive_vs_nonadaptive_requires_baseline(self):
-        with pytest.raises(ValueError):
-            adaptive_vs_nonadaptive([SweepSeries("west-first", "t", [])])
-
     def test_paper_hop_counts_match_section6(self):
         hops = paper_hop_counts()
         assert float(hops["mesh-transpose"]) == pytest.approx(11.34, abs=0.01)
@@ -143,7 +129,7 @@ class TestClaimsHelpers:
             [0.3],
             FAST,
         )
-        text = format_figure("Figure X", series, note="unit test")
+        text = format_figure("Figure X", series)
         assert "Figure X" in text and "west-first" in text
         summary = format_saturation_summary(series)
         assert "max sustainable" in summary

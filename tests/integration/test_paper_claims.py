@@ -1,6 +1,6 @@
 """Integration tests for the paper's quantitative claims that are cheap
-enough for the unit-test suite (the full-figure shape claims live in the
-benchmark harness).
+enough for the unit-test suite (the full-figure shape claims are floors
+over the committed data, tests/analysis/test_claims.py).
 
 Each test names the paper artifact it checks.
 """
@@ -28,14 +28,19 @@ from repro.verification import turn_set_is_deadlock_free, verify_algorithm
 class TestSection2:
     def test_theorem_1_quarter_of_turns(self):
         """Theorem 1 via Theorem 6: prohibiting the n(n-1) turns of the
-        negative-first set is sufficient (CDG acyclic), and n(n-1) is a
-        quarter of 4n(n-1)."""
+        west-first, north-last or negative-first set is sufficient (CDG
+        acyclic), and n(n-1) is a quarter of 4n(n-1)."""
         from repro.topology import Mesh
 
-        for n, dims in ((2, (4, 4)), (3, (3, 3, 3))):
-            model = TurnModel.negative_first(n)
-            assert len(model.prohibited) == n * (n - 1)
-            assert turn_set_is_deadlock_free(Mesh(dims), model)
+        for n, dims in ((2, (4, 4)), (3, (3, 3, 3)), (4, (2, 2, 2, 2))):
+            for factory in (
+                TurnModel.west_first,
+                TurnModel.north_last,
+                TurnModel.negative_first,
+            ):
+                model = factory(n)
+                assert len(model.prohibited) == n * (n - 1)
+                assert turn_set_is_deadlock_free(Mesh(dims), model), model.name
 
     def test_theorem_1_necessity_fewer_turns_deadlock(self):
         """Prohibiting fewer than one turn per abstract cycle cannot be

@@ -14,6 +14,7 @@ import ast
 import dataclasses
 import importlib.util
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -317,3 +318,16 @@ def test_collect_experiments_uses_the_shared_runner_flags(capsys):
     with pytest.raises(SystemExit):
         script.main(["--help"])
     assert "--failure-manifest" in capsys.readouterr().out
+
+
+def test_collect_experiments_checks_its_outputs_before_simulating(
+    tmp_path, monkeypatch, capsys
+):
+    script = _collect_experiments()
+    monkeypatch.setattr(script, "simulate", lambda runner: pytest.fail("simulated"))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        script.main([str(tmp_path / "missing" / "experiments.json"), "--no-cache"])
+    assert info.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "missing does not exist" in capsys.readouterr().err

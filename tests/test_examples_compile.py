@@ -1,6 +1,6 @@
 """Every example and script must at least compile and import cleanly.
 
-(Full executions are exercised manually / in benchmarks; these checks
+(Full executions are exercised manually; these checks
 catch syntax errors and broken imports cheaply.)"""
 
 import os
@@ -35,7 +35,6 @@ class TestCompile:
         names = {os.path.basename(p) for p in EXAMPLES}
         assert {
             "quickstart.py",
-            "paper_figures.py",
             "deadlock_demo.py",
             "pcube_walkthrough.py",
             "custom_turn_model.py",

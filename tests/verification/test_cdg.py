@@ -106,6 +106,7 @@ class TestTurnSetVerification:
         model = TurnModel.from_prohibited(
             "figure-4", 2, {Turn(EAST, NORTH), Turn(NORTH, EAST)}
         )
+        assert model.breaks_all_cycles()  # one turn from each abstract cycle
         verdict = verify_turn_set(mesh, model)
         assert not verdict.deadlock_free
         assert verdict.cycle  # a concrete witness is produced
