@@ -80,14 +80,11 @@ from .observability import (
     TraceEvent,
 )
 from .simulation import (
-    ArrayWormholeSimulator,
-    BatchSimulator,
     SimulationConfig,
     SimulationResult,
     WormholeSimulator,
     detect_deadlock,
     make_simulator,
-    numpy_available,
 )
 from .topology import (
     Channel,
@@ -176,3 +173,19 @@ __all__ = [
     "verify_turn_set",
     "verify_vc_algorithm",
 ]
+
+#: The array-backend exports import numpy: resolved on first access
+#: (PEP 562), so ``import repro`` does not load numpy.
+_ARRAY_NAMES = ("ArrayWormholeSimulator", "BatchSimulator", "numpy_available")
+
+
+def __getattr__(name: str):
+    if name in _ARRAY_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ARRAY_NAMES))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
-from ..simulation.array_engine import make_simulator
+from ..simulation.backend import make_simulator
 from ..simulation.config import SimulationConfig
 from .runner import ParallelSweepRunner, PointSpec, parse_topology_spec
 

@@ -62,7 +62,7 @@ from .supervision import (
 from ..routing.base import RoutingAlgorithm
 from ..routing.registry import make_algorithm
 from ..routing.table import lru_fetch
-from ..simulation.array_engine import BatchSimulator, make_simulator
+from ..simulation.backend import make_simulator
 from ..simulation.config import FrozenMemo, SimulationConfig, canonical_dumps
 from ..simulation.metrics import SimulationResult
 from ..topology.base import Topology
@@ -234,6 +234,18 @@ class PointSpec(FrozenMemo):
 
     config: SimulationConfig
     """The full simulation configuration (includes the offered load)."""
+
+    def __post_init__(self) -> None:
+        # A malformed field is refused here, before it can reach a
+        # cache key or an engine.
+        for name in ("topology", "algorithm", "pattern"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"PointSpec.{name} must be a str, not {value!r}")
+        if not isinstance(self.config, SimulationConfig):
+            raise TypeError(
+                f"PointSpec.config must be a SimulationConfig, not {self.config!r}"
+            )
 
     def build(self) -> Tuple[RoutingAlgorithm, TrafficPattern]:
         """The live algorithm and pattern objects: the process-wide
@@ -432,6 +444,8 @@ class _ArrayShardSpec:
     specs: Tuple[PointSpec, ...]
 
     def execute(self) -> List[SimulationResult]:
+        from ..simulation.array_engine import BatchSimulator
+
         points = []
         for spec in self.specs:
             algorithm, pattern = spec.build()
@@ -836,6 +850,11 @@ class ParallelSweepRunner:
         that fails for good is not a failure: its members join the
         one-point pass, so only a point that fails alone fails for good.
         """
+        if array_batch_indices(specs, [i for task in tasks for i in task]):
+            # Load the array engine (and numpy) once, here: forked
+            # workers inherit it instead of each importing their own.
+            from ..simulation import array_engine  # noqa: F401
+
         singles = [task for task in tasks if len(task) == 1]
         for batch in ([task for task in tasks if len(task) > 1], singles):
             if not batch:

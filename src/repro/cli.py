@@ -85,8 +85,8 @@ from .observability import (
     summarize_trace,
     trace_header,
 )
-from .routing.registry import algorithm_names, make_algorithm
-from .simulation.array_engine import make_simulator
+from .routing.registry import UnknownAlgorithmError, algorithm_names, make_algorithm
+from .simulation.backend import make_simulator
 from .simulation.config import BACKENDS, SimulationConfig
 from .simulation.selection import output_policy_names
 from .topology.mesh import Mesh2D
@@ -219,6 +219,8 @@ def _network(args):
     topology = parse_topology_spec(args.topology)
     try:
         return topology, make_algorithm(args.algorithm, topology)
+    except UnknownAlgorithmError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{args.algorithm} on {args.topology}: {exc}") from exc
 

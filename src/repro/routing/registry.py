@@ -62,15 +62,21 @@ def algorithm_names() -> List[str]:
     return sorted(seen.values())
 
 
+class UnknownAlgorithmError(KeyError, ValueError):
+    """No registered algorithm has this name.  A ``KeyError`` (a registry
+    lookup missed) and a ``ValueError`` (a bad name, like every other
+    malformed point field)."""
+
+
 def make_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
     """Build the named algorithm on ``topology``.
 
-    Raises ``KeyError`` for unknown names and ``ValueError`` when the
-    algorithm does not support the topology.
+    Raises :class:`UnknownAlgorithmError` for unknown names and
+    ``ValueError`` when the algorithm does not support the topology.
     """
     key = name.strip().lower()
     if key not in _FACTORIES:
-        raise KeyError(
+        raise UnknownAlgorithmError(
             f"unknown routing algorithm {name!r}; known: {algorithm_names()}"
         )
     return _FACTORIES[key](topology)

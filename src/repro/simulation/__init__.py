@@ -1,12 +1,10 @@
-"""Flit-level wormhole network simulation (the Section 6 apparatus)."""
+"""Flit-level wormhole network simulation (the Section 6 apparatus).
 
-from .array_engine import (
-    ArrayWormholeSimulator,
-    BatchSimulator,
-    make_simulator,
-    numpy_available,
-    vectorized_envelope,
-)
+The array-backend names resolve on first access: importing this
+package does not import numpy.
+"""
+
+from .backend import make_simulator
 from .config import BACKENDS, SimulationConfig
 from .deadlock import DeadlockReport, build_wait_for_graph, detect_deadlock
 from .engine import WormholeSimulator
@@ -46,3 +44,24 @@ __all__ = [
     "random_input_selection",
     "vectorized_envelope",
 ]
+
+#: Exported from :mod:`.array_engine`, which imports numpy: loaded on
+#: first access (PEP 562), so event-only processes never pay for it.
+_ARRAY_NAMES = (
+    "ArrayWormholeSimulator",
+    "BatchSimulator",
+    "numpy_available",
+    "vectorized_envelope",
+)
+
+
+def __getattr__(name: str):
+    if name in _ARRAY_NAMES:
+        from . import array_engine
+
+        return getattr(array_engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ARRAY_NAMES))

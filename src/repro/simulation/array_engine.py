@@ -67,7 +67,11 @@ aligned and ``max_retries`` is inert.
 
 numpy is an optional dependency (``pip install repro[array]``); the
 module imports with numpy absent and every entry point raises a clear
-error instead.
+error instead.  Nothing imports this module until an array point is
+built: :func:`~repro.simulation.backend.make_simulator` and the
+runner's array shards import it on demand, the package's array names
+resolve lazily, and a runner about to fork workers for a batch with
+array points imports it once in the parent.
 """
 
 from __future__ import annotations
@@ -1863,23 +1867,3 @@ class BatchSimulator(_Split):
 
     def run(self) -> List[SimulationResult]:
         return self._run_all()
-
-
-def make_simulator(
-    algorithm, pattern, config: SimulationConfig,
-    sink=None, profiler=None,
-):
-    """Build the simulator selected by ``config.backend``.
-
-    ``"event"`` (default) is the event-driven engine; ``"array"`` is the
-    numpy struct-of-arrays backend (requires the ``repro[array]``
-    extra).  Both expose ``run() -> SimulationResult`` and are
-    bit-identical per the cross-backend equivalence suite.
-    """
-    if config.backend == "array":
-        return ArrayWormholeSimulator(
-            algorithm, pattern, config, sink=sink, profiler=profiler
-        )
-    return WormholeSimulator(
-        algorithm, pattern, config, sink=sink, profiler=profiler
-    )

@@ -19,10 +19,10 @@ from repro.simulation.array_engine import (
     ArrayWormholeSimulator,
     BatchSimulator,
     demotion_reasons,
-    make_simulator,
     numpy_available,
     vectorized_envelope,
 )
+from repro.simulation.backend import make_simulator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import WormholeSimulator
 

@@ -43,9 +43,9 @@ from repro.routing.registry import make_algorithm
 from repro.simulation.array_engine import (
     BatchSimulator,
     demotion_reasons,
-    make_simulator,
     numpy_available,
 )
+from repro.simulation.backend import make_simulator
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import WormholeSimulator
 from repro.simulation.packet import PacketState
