@@ -20,7 +20,9 @@ so nothing is rebuilt per operating point:
   object identity — a hand-built or spy algorithm gets its own).  The
   algorithm is asked once per *decision key*: on meshes and hypercubes
   the turn-model families answer by arrival direction and offset class
-  alone (Sections 3-5), so one answer serves every node it fits;
+  alone (Sections 3-5), and on a torus the dateline and escape-VC
+  disciplines add only the arrival VC and where the node sits relative
+  to the wraparound, so one answer serves every node it fits;
 * :class:`RoutingTable` — a standalone direction-level memo of the four
   candidate queries with per-node invalidation, for callers outside the
   simulators.
@@ -44,6 +46,7 @@ from typing import (
 )
 
 from ..topology.base import Channel, Direction, Topology
+from ..topology.torus import KAryNCube
 from .base import RoutingAlgorithm
 
 _MISS = object()  # sentinel: empty tuples are valid cached values
@@ -66,7 +69,7 @@ class NetworkIndex:
 
     __slots__ = (
         "channels", "directions", "dir_index", "channel_index",
-        "in_neighbors", "coords",
+        "in_neighbors", "coords", "edges",
     )
 
     def __init__(self, topology: Topology) -> None:
@@ -92,6 +95,18 @@ class NetworkIndex:
         }
         self.coords: Tuple[Tuple[int, ...], ...] = tuple(
             map(topology.coords, topology.nodes())
+        )
+        #: per node, one flag per dimension: 1 at coordinate 0, 2 at
+        #: ``k - 1``, 0 between (equal tuples are one object)
+        flags: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self.edges: Tuple[Tuple[int, ...], ...] = tuple(
+            flags.setdefault(edge, edge) for edge in (
+                tuple(
+                    (c == 0) + 2 * (c == k - 1)
+                    for c, k in zip(coord, topology.dims)
+                )
+                for coord in self.coords
+            )
         )
 
     def affected_nodes(self, node: int, channel_only: bool) -> Set[int]:
@@ -132,14 +147,13 @@ class NetworkTables:
     A miss asks the algorithm for node-free ``(direction, vc, misroute
     bit)`` moves and places them at the node with its channel ids.  When
     :func:`~repro.routing.registry.offset_classed` certifies the
-    algorithm, the moves are memoised in :attr:`memo` under ``(escape,
-    dir_index, classes)``, each dimension's offset clamped to ``-2..2``,
-    plus one edge flag per dimension (1 at coordinate 0, 2 at ``k - 1``)
-    for escape queries, which test whether a neighbour exists; a cold
-    table then asks once per key, not once per decision.  Otherwise —
-    tori, virtual channels, hand-built or overridden algorithms — the
-    key would be the exact ``(port, dest)``, which the port's row
-    already remembers, so the algorithm is asked once per decision.
+    algorithm at ``num_vc``, the moves are memoised in :attr:`memo` under
+    the decision :meth:`key`, so a cold table asks once per key, not
+    once per decision.  Otherwise — ``negative-first-torus``, first-hop
+    wraparound, xy on a torus, hand-built, subclassed or overridden
+    algorithms — the key would be the exact ``(port, dest)``, which the
+    port's row already remembers, so the algorithm is asked once per
+    decision.
 
     With ``num_vc == 1`` the algorithm's direction-level queries are
     asked (as the engines always did); otherwise its ``vc_*`` queries,
@@ -153,7 +167,8 @@ class NetworkTables:
     __slots__ = (
         "algorithm", "topology", "index", "num_vc", "channels",
         "channel_ids", "node_ports", "arrive_port", "array_lut", "memo",
-        "_classed", "_clamp", "_placed", "_minimal", "_escape", "_interned",
+        "_classed", "_clamp", "_edged", "_placed", "_minimal", "_escape",
+        "_interned",
     )
 
     def __init__(self, algorithm: RoutingAlgorithm, num_vc: int = 1) -> None:
@@ -188,15 +203,25 @@ class NetworkTables:
         self.array_lut = None
         #: class key -> the algorithm's moves (see the class docstring)
         self.memo: Dict[tuple, Moves] = {}
-        self._classed = num_vc == 1 and offset_classed(algorithm)
-        if self._classed:
-            top = max(self.topology.dims)
-            # ``_clamp[delta]`` is delta's class for -top < delta < top
-            # (negative deltas index from the end).
-            self._clamp = tuple(
-                [min(d, 2) for d in range(top)]
-                + [max(d, -2) for d in range(1 - top, 0)]
-            )
+        self._classed = offset_classed(algorithm, num_vc)
+        topology = self.topology
+        top = max(topology.dims)
+        dim = topology.dims.index(top)
+        step = topology.node_at([int(d == dim) for d in range(topology.n_dims)])
+        offset = topology.offset
+        # ``_clamp[delta]`` is the class of the offset a plain coordinate
+        # delta stands for, -top < delta < top (negative deltas index
+        # from the end): the delta itself on a mesh, the shorter way
+        # round on a torus (the topology's own ``offset`` decides, its
+        # tie rule and radix 2 included).
+        self._clamp = tuple(
+            max(-2, min(2, offset(max(-d, 0) * step, max(d, 0) * step, dim)))
+            for d in (*range(top), *range(1 - top, 0))
+        )
+        # Whose keys carry the edge flags, indexed by ``escape``: escapes
+        # test whether a neighbour exists, and on a torus any query may
+        # take a wraparound, which leaves from an edge.
+        self._edged = (isinstance(topology, KAryNCube), True)
         ports = self.topology.num_nodes * self.node_ports
         self._minimal: List[Optional[Dict[int, Decision]]] = [None] * ports
         self._escape: List[Optional[Dict[int, Decision]]] = [None] * ports
@@ -226,24 +251,32 @@ class NetworkTables:
             decision = row[dest] = self._derive(port, dest, escape=True)
         return decision
 
+    def key(self, port: int, dest: int, escape: bool) -> tuple:
+        """The decision key a certified algorithm is asked once per:
+        ``(escape, state, classes)``, where ``state = dir_index * num_vc
+        + in_vc`` is the port's place at its node (arrival direction and
+        VC) and ``classes`` each dimension's offset to ``dest`` clamped
+        to ``-2..2`` (on a torus, the offset the shorter way round);
+        then the node's :attr:`NetworkIndex.edges` for escape queries
+        and for every query on a torus."""
+        node, state = divmod(port, self.node_ports)
+        coords = self.index.coords
+        classes = tuple(
+            map(self._clamp.__getitem__, map(sub, coords[dest], coords[node]))
+        )
+        if self._edged[escape]:
+            return escape, state, classes, self.index.edges[node]
+        return escape, state, classes
+
     def _derive(self, port: int, dest: int, escape: bool) -> Decision:
-        num_vc = self.num_vc
-        rest, in_vc = divmod(port, num_vc)
-        node, diridx = divmod(rest, self.node_ports // num_vc)
+        node = port // self.node_ports
         if not self._classed:
             # An exact key is asked once: the port's row keeps the answer.
-            return self._place(node, self._ask(node, diridx, in_vc, dest, escape))
-        coords = self.index.coords
-        deltas = map(sub, coords[dest], coords[node])
-        key = (escape, diridx, tuple(map(self._clamp.__getitem__, deltas)))
-        if escape:
-            key += (tuple(
-                (c == 0) + 2 * (c == k - 1)
-                for c, k in zip(coords[node], self.topology.dims)
-            ),)
+            return self._place(node, self._ask(port, dest, escape))
+        key = self.key(port, dest, escape)
         moves = self.memo.get(key)
         if moves is None:
-            moves = self.memo[key] = self._ask(node, diridx, in_vc, dest, escape)
+            moves = self.memo[key] = self._ask(port, dest, escape)
         # Moves are interned and never dropped, so their ids are stable.
         placed = id(moves) * self.topology.num_nodes + node
         decision = self._placed.get(placed)
@@ -265,10 +298,10 @@ class NetworkTables:
         decision = tuple(out)
         return intern(decision, decision)
 
-    def _ask(
-        self, node: int, diridx: int, in_vc: int, dest: int, escape: bool
-    ) -> Moves:
-        """The algorithm's answer at ``node`` as node-free moves."""
+    def _ask(self, port: int, dest: int, escape: bool) -> Moves:
+        """The algorithm's answer at ``port`` as node-free moves."""
+        node, state = divmod(port, self.node_ports)
+        diridx, in_vc = divmod(state, self.num_vc)
         in_direction = self.index.directions[diridx - 1] if diridx else None
         algorithm = self.algorithm
         num_vc = self.num_vc

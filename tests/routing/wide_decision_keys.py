@@ -1,14 +1,20 @@
 """The class-keyed routing tables checked exhaustively at every size the
 keys are claimed for: every registered algorithm on every 2D mesh from
 2x2 to 16x16, every 3D mesh up to 4x4x4 and every binary cube up to 8;
-``TurnRestrictedMinimal`` over all 16 two-turn prohibition sets on the
-square meshes, and over every one of the 256 subsets of the eight 2D
-turns on ``mesh:5x6``.
+the same meshes up to 8x8 at 2 VCs; the certified torus algorithms
+(dateline and escape-VC) on ``torus:kx2`` for k = 2..16 and
+``torus:kx3`` for k = 2..6 at 2 and 3 VCs; ``TurnRestrictedMinimal``
+over all 16 two-turn prohibition sets on the square meshes, and over
+every one of the 256 subsets of the eight 2D turns on ``mesh:5x6``.
+
+The uncertified torus algorithms keep the exact ``(port, dest)`` path;
+``test_decision_keys.py`` checks that path at tier-1 sizes, where it
+runs the same check on every registered algorithm.
 
 Not collected by default (its name does not start with ``test_``): run
 it by path, ``python -m pytest -q tests/routing/wide_decision_keys.py``
-(about 25 minutes on one core).  ``test_decision_keys.py`` runs the same
-check at tier-1 sizes.
+(about 50 minutes on one core of a shared 2-vCPU host, 7 of them the
+torus and VC cases).
 """
 
 import itertools
@@ -20,6 +26,7 @@ from repro.analysis.runner import parse_topology_spec
 from repro.core import TurnModel, two_turn_prohibitions_2d
 from repro.core.turns import ninety_degree_turns
 from repro.routing import TurnRestrictedMinimal
+from repro.routing.registry import offset_classed
 
 SIDES = range(2, 17)
 SPECS = (
@@ -30,12 +37,34 @@ SPECS = (
     ]
     + [f"cube:{n}" for n in range(1, 9)]
 )
+VC_MESHES = [
+    f"mesh:{m}x{n}" for m, n in itertools.product(range(2, 9), repeat=2)
+]
+TORI = [f"torus:{k}x2" for k in SIDES] + [f"torus:{k}x3" for k in range(2, 7)]
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_registered_algorithms(spec):
     for algorithm in registered_on(spec):
         assert_tables_answer_directly(algorithm)
+
+
+@pytest.mark.parametrize("spec", VC_MESHES)
+def test_registered_algorithms_at_two_vcs(spec):
+    for algorithm in registered_on(spec):
+        assert_tables_answer_directly(algorithm, num_vc=2)
+
+
+@pytest.mark.parametrize("num_vc", [2, 3])
+@pytest.mark.parametrize("spec", TORI)
+def test_certified_torus_algorithms(spec, num_vc):
+    certified = [
+        algorithm for algorithm in registered_on(spec)
+        if offset_classed(algorithm, num_vc)
+    ]
+    assert len(certified) == 2
+    for algorithm in certified:
+        assert_tables_answer_directly(algorithm, num_vc=num_vc)
 
 
 @pytest.mark.parametrize("side", SIDES)
