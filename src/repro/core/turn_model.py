@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional
 
 from ..topology.base import Direction, NEGATIVE, POSITIVE, all_directions
-from .cycles import breaks_all_abstract_cycles, minimum_prohibited_turns, unbroken_cycles
+from .cycles import breaks_all_abstract_cycles, minimum_prohibited_turns
 from .turns import Turn, TurnKind, ninety_degree_turns
 
 
@@ -96,9 +96,6 @@ class TurnModel:
     def breaks_all_cycles(self) -> bool:
         """Necessary condition: one prohibited turn per abstract cycle."""
         return breaks_all_abstract_cycles(self.n_dims, self.prohibited)
-
-    def intact_cycles(self):
-        return unbroken_cycles(self.n_dims, self.prohibited)
 
     def is_minimal_prohibition(self) -> bool:
         """Whether exactly ``n(n-1)`` turns are prohibited (Theorems 1/6)."""

@@ -160,12 +160,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def channel_events(self) -> List[FaultEvent]:
-        return [e for e in self.events if e.kind == CHANNEL_FAULT]
-
-    def router_events(self) -> List[FaultEvent]:
-        return [e for e in self.events if e.kind == ROUTER_FAULT]
-
     def faulty_channels(
         self, topology: Topology, at: Optional[int] = None
     ) -> Set[Channel]:

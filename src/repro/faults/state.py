@@ -50,9 +50,6 @@ class FaultState:
     def any_faults(self) -> bool:
         return bool(self.dead_channels or self.dead_routers)
 
-    def router_dead(self, node: int) -> bool:
-        return node in self.dead_routers
-
     def channel_dead(self, src: int, direction: Direction) -> bool:
         """Whether the channel out of ``src`` in ``direction`` is unusable
         (failed itself, or touching a failed router)."""

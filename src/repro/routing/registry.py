@@ -82,47 +82,43 @@ def make_algorithm(name: str, topology: Topology) -> RoutingAlgorithm:
     return _FACTORIES[key](topology)
 
 
-_CLASSED = frozenset(_FACTORIES.values())
-#: The classes certified on a torus: their answers read only the
-#: shorter-way-round offsets, the arrival direction and VC, and whether
-#: the hop leaves from an edge.  Negative-first-torus and first-hop
-#: wraparound read plain deltas and landing coordinates.
-_TORUS_CLASSED = frozenset({DatelineDimensionOrder, EscapeVCAdaptive})
+#: The classes certified unmodified: the registry's and the generic
+#: turn-model construction.  Negative-first-torus and first-hop
+#: wraparound read plain deltas and landing coordinates, which no torus
+#: offset class fixes.
+_CLASSED = frozenset({*_FACTORIES.values(), TurnRestrictedMinimal}) - {
+    ClassifiedNegativeFirst, FirstHopWraparound,
+}
 
 
 def offset_classed(algorithm: RoutingAlgorithm, num_vc: int = 1) -> bool:
     """Whether ``algorithm``'s answers at ``num_vc`` virtual channels
     depend only on the query kind, the arrival direction and VC, each
-    dimension's offset to the destination clamped to ``-2..2`` and (for
-    escapes, and for every query on a torus) which edges the node lies
-    on — so :class:`~repro.routing.table.NetworkTables` may ask once per
-    such key (:meth:`~repro.routing.table.NetworkTables.key`).
+    dimension's offset to the destination clamped to ``-2..2`` (the
+    torus offset on a torus) and, for escapes and every query on a
+    torus, which edges the node lies on — so
+    :class:`~repro.routing.table.NetworkTables` may ask once per such
+    key (:meth:`~repro.routing.table.NetworkTables.key`).
 
-    True at any VC count for the registry's own classes, unmodified, on
-    meshes and hypercubes, for :class:`TurnRestrictedMinimal` under any
-    2D turn model (a minimal journey there needs at most two
-    directions), and for :class:`DatelineDimensionOrder` and
-    :class:`EscapeVCAdaptive` on a k-ary n-cube, where the offset is
-    the torus one.  The equivalence suite checks every one of them
-    against direct queries (``tests/routing/test_decision_keys.py``); a
-    subclass, an instance override of a query the tables ask, or
-    another topology or algorithm is not certified.
+    True, on a mesh, hypercube or k-ary n-cube and at any VC count, for
+    an unmodified class of ``_CLASSED`` — except a
+    :class:`TurnRestrictedMinimal` (registered or not) whose derived
+    :attr:`~TurnRestrictedMinimal.clamp` exceeds 2, in any dimension.
+    The equivalence suite checks them against direct queries
+    (``tests/routing/test_decision_keys.py``); a subclass, an instance
+    override of a query the tables ask, or another topology or
+    algorithm is not certified.
     """
     asked = {"candidates", "escape_candidates"}
     if num_vc > 1:  # the default ``vc_*`` queries call the two above
         asked |= {"vc_candidates", "vc_escape_candidates"}
     if asked & vars(algorithm).keys():
         return False
-    kind = type(algorithm)
-    topology = algorithm.topology
-    shape = type(topology)
-    if shape is KAryNCube:
-        return kind in _TORUS_CLASSED
-    if shape not in (Mesh, Mesh2D, Hypercube):
+    if type(algorithm.topology) not in (Mesh, Mesh2D, Hypercube, KAryNCube):
         return False
-    return kind in _CLASSED or (
-        kind is TurnRestrictedMinimal and topology.n_dims == 2
-    )
+    if isinstance(algorithm, TurnRestrictedMinimal) and algorithm.clamp > 2:
+        return False
+    return type(algorithm) in _CLASSED
 
 
 def mesh_algorithms(topology: Topology) -> List[RoutingAlgorithm]:

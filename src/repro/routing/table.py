@@ -150,10 +150,9 @@ class NetworkTables:
     algorithm at ``num_vc``, the moves are memoised in :attr:`memo` under
     the decision :meth:`key`, so a cold table asks once per key, not
     once per decision.  Otherwise — ``negative-first-torus``, first-hop
-    wraparound, xy on a torus, hand-built, subclassed or overridden
-    algorithms — the key would be the exact ``(port, dest)``, which the
-    port's row already remembers, so the algorithm is asked once per
-    decision.
+    wraparound, hand-built, subclassed or overridden algorithms — the
+    key would be the exact ``(port, dest)``, which the port's row
+    already remembers, so the algorithm is asked once per decision.
 
     With ``num_vc == 1`` the algorithm's direction-level queries are
     asked (as the engines always did); otherwise its ``vc_*`` queries,

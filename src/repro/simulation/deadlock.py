@@ -58,33 +58,13 @@ def build_wait_for_graph(sim: WormholeSimulator) -> DiGraph:
             if holder is not None and holder is not packet:
                 graph.add_edge(packet, holder)
             continue
-        if sim.num_vc == 1:
-            wanted = [
-                (direction, 0)
-                for direction in sim.algorithm.candidates(
-                    packet.head_node, packet.dst, packet.head_direction
-                )
-            ]
-        else:
-            wanted = sim.algorithm.vc_candidates(
-                packet.head_node,
-                packet.dst,
-                packet.head_direction,
-                packet.head_vc,
-                sim.num_vc,
-            )
-        holders = []
-        blocked = True
-        for direction, vc in wanted:
-            base = sim.channel_ids.get((packet.head_node, direction))
-            if base is None or not 0 <= vc < sim.num_vc:
-                continue
-            holder = sim.channel_alloc[base + vc]
-            if holder is None:
-                blocked = False
-                break
-            holders.append(holder)
-        if blocked:
+        # The engine's own decision: the shared tables' answer, through
+        # the run's fault mask when it has a fault plan.
+        holders = [
+            sim.channel_alloc[cid]
+            for _, cid, _ in sim._minimal(sim._port(packet), packet.dst)
+        ]
+        if all(holder is not None for holder in holders):
             for holder in holders:
                 if holder is not packet:
                     graph.add_edge(packet, holder)

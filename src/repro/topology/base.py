@@ -175,11 +175,6 @@ class Topology:
     def nodes(self) -> range:
         return range(self._num_nodes)
 
-    def all_coords(self) -> Iterator[Tuple[int, ...]]:
-        """Iterate the coordinates of every node in id order."""
-        for node in self.nodes():
-            yield self.coords(node)
-
     # -- neighbours and channels ------------------------------------------
 
     def neighbor(self, node: int, direction: Direction) -> Optional[int]:
@@ -261,12 +256,6 @@ def _product(values: Sequence[int]) -> int:
     for v in values:
         result *= v
     return result
-
-
-def pairwise_neighbors(topology: Topology) -> Iterator[Tuple[int, int]]:
-    """Yield each (src, dst) neighbour pair once per channel."""
-    for channel in topology.channels():
-        yield channel.src, channel.dst
 
 
 def enumerate_node_pairs(topology: Topology) -> Iterator[Tuple[int, int]]:

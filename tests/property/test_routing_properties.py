@@ -180,7 +180,7 @@ class TestMaximalAdaptiveness:
     *maximally adaptive* — they permit every minimal path the prohibition
     set allows.  Their candidate sets are compared, along random legal
     walks, with the relation enumerated by brute force (which shares no
-    code with the packed-offset search behind ``TurnRestrictedMinimal``)."""
+    code with the clamped-offset search behind ``TurnRestrictedMinimal``)."""
 
     @given(mesh_case())
     @settings(max_examples=40)

@@ -22,8 +22,8 @@ import repro.routing.table as table
 from repro.analysis.runner import make_pattern, parse_topology_spec
 from repro.core import TurnModel, two_turn_prohibitions_2d
 from repro.routing import (
-    XY, DatelineDimensionOrder, EscapeVCAdaptive, TurnRestrictedMinimal,
-    make_algorithm,
+    XY, ClassifiedNegativeFirst, DatelineDimensionOrder,
+    FirstHopWraparound, TurnRestrictedMinimal, make_algorithm,
 )
 from repro.routing.registry import offset_classed
 from repro.routing.table import NetworkTables
@@ -31,7 +31,6 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import WormholeSimulator
 from repro.topology.base import EAST
 from repro.topology.mesh import Mesh2D
-from repro.topology.torus import KAryNCube
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -55,15 +54,15 @@ def test_registered_algorithms_answer_as_asked_directly(spec):
 @pytest.mark.parametrize("num_vc", [1, 2, 3])
 @pytest.mark.parametrize("spec", VC_SPECS)
 def test_torus_and_vc_tables_answer_as_asked_directly(spec, num_vc):
-    """On a torus only the dateline and escape-VC disciplines are
-    certified; the rest keep the exact ``(port, dest)`` path, which must
+    """Every registered algorithm is certified, on a torus too, except
+    negative-first-torus and first-hop wraparound, which read plain
+    deltas; those keep the exact ``(port, dest)`` path, which must
     answer directly too."""
     algorithms = registered_on(spec)
     assert algorithms
     for algorithm in algorithms:
-        torus = isinstance(algorithm.topology, KAryNCube)
-        classed = not torus or type(algorithm) in (
-            DatelineDimensionOrder, EscapeVCAdaptive,
+        classed = type(algorithm) not in (
+            ClassifiedNegativeFirst, FirstHopWraparound,
         )
         assert offset_classed(algorithm, num_vc) is classed, algorithm
         assert_tables_answer_directly(algorithm, classed, num_vc)
@@ -114,6 +113,8 @@ def test_instance_overrides_and_other_topologies_are_not_certified():
     assert NetworkTables(dateline, num_vc=2)._classed
     assert not offset_classed(make_algorithm("negative-first-torus", torus), 2)
     assert not offset_classed(LateDateline(torus), 2)
+    for name in ("xy", "dimension-order"):
+        assert offset_classed(make_algorithm(name, torus), 2)
     mesh_algorithm = make_algorithm("escape-vc-adaptive", Mesh2D(4, 4))
     assert offset_classed(mesh_algorithm)
     assert NetworkTables(mesh_algorithm, num_vc=2)._classed

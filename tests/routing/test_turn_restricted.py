@@ -1,13 +1,22 @@
 """Tests for TurnRestrictedMinimal: maximal minimal-adaptive routing
 under an arbitrary prohibition set."""
 
+import itertools
 import random
 
 import pytest
+from turn_reference import (
+    assert_matches_exact_reference, seeded_minimal_3d_sets,
+)
 
+from repro.analysis.runner import parse_topology_spec
 from repro.core import Turn, TurnModel, two_turn_prohibitions_2d
+from repro.core.turns import ninety_degree_turns
 from repro.routing import TurnRestrictedMinimal, walk
+from repro.routing.registry import offset_classed
+from repro.routing.table import NetworkTables
 from repro.topology import EAST, Mesh2D, NORTH, SOUTH, WEST
+from repro.topology.base import POSITIVE, Direction
 from repro.verification import verify_algorithm
 
 # The paper's agreement with the hand-written phase algorithms is pinned
@@ -140,3 +149,82 @@ class TestGenericEscapes:
             SOUTH, NORTH,
         ]
         assert alg.escape_candidates(src, mesh.node_xy(0, 2)) == []
+
+
+PAPER_MODELS = {
+    2: [TurnModel.xy(), TurnModel.west_first(), TurnModel.north_last(),
+        TurnModel.negative_first()],
+    **{
+        n: [TurnModel.xy(n), TurnModel.negative_first(n),
+            TurnModel.west_first(n), TurnModel.north_last(n)]
+        for n in (3, 4)
+    },
+}
+
+
+def star_model():
+    """5D: ``+d0`` is a hub, and the only legal turns are between it and
+    the four other positive directions.  Reaching all five from
+    injection then takes three separate runs of ``+d0``."""
+    hub = Direction(0, POSITIVE)
+    return TurnModel.from_prohibited("star", 5, [
+        t for t in ninety_degree_turns(5)
+        if hub not in (t.frm, t.to) or t.frm.sign < 0 or t.to.sign < 0
+    ])
+
+
+class TestDerivedClamp:
+    """``clamp``: the offset radius each answer reads, derived per
+    algorithm over the box of radius ``min(n + 1, k - 1)``."""
+
+    @pytest.mark.parametrize("spec", ["mesh:9x9", "mesh:5x5x5", "mesh:6x6x6x6"])
+    def test_the_paper_models_read_only_the_sign(self, spec):
+        topology = parse_topology_spec(spec)
+        for model in PAPER_MODELS[topology.n_dims]:
+            algorithm = TurnRestrictedMinimal(topology, model)
+            assert algorithm.clamp == 1, model
+            assert offset_classed(algorithm), model
+
+    def test_no_box_when_every_span_is_at_most_two(self):
+        """Offsets of at most 2 are their own classes: nothing to derive."""
+        for spec, clamp in (("cube:8", 1), ("mesh:3x3x3", 2), ("mesh:3x2", 2)):
+            topology = parse_topology_spec(spec)
+            algorithm = TurnRestrictedMinimal(
+                topology, TurnModel.negative_first(topology.n_dims)
+            )
+            assert algorithm.clamp == clamp
+            assert len(algorithm._onward_memo) == 1  # the destination
+
+    def test_the_memo_is_the_box_whatever_the_mesh(self):
+        for side in (8, 16):
+            mesh = Mesh2D(side, side)
+            algorithm = TurnRestrictedMinimal(mesh, TurnModel.west_first())
+            for node, dest in itertools.product(mesh.nodes(), repeat=2):
+                algorithm.candidates(node, dest)
+                algorithm.escape_candidates(node, dest)
+            assert len(algorithm._onward_memo) == 7 * 7
+
+    def test_seeded_minimal_3d_sets_match_the_exact_reference(self):
+        """64 of the 4,096 one-turn-per-cycle 3D sets, both clamps among
+        them: every answer on mesh:5x5x5 equals the unclamped search."""
+        topology = parse_topology_spec("mesh:5x5x5")
+        clamps = []
+        for model in seeded_minimal_3d_sets(64, seed=15):
+            algorithm = TurnRestrictedMinimal(topology, model)
+            assert_matches_exact_reference(algorithm)
+            assert offset_classed(algorithm)
+            clamps.append(algorithm.clamp)
+        assert sorted(set(clamps)) == [1, 2]
+
+    def test_a_model_needing_three_runs_is_not_certified(self):
+        topology = parse_topology_spec("mesh:4x4x4x4x4")
+        algorithm = TurnRestrictedMinimal(topology, star_model())
+        assert algorithm.clamp == 3
+        assert not offset_classed(algorithm)
+        assert not NetworkTables(algorithm)._classed
+        origin = topology.node_at([0] * 5)
+        hub_runs = [
+            algorithm.candidates(origin, topology.node_at([hub, 1, 1, 1, 1]))
+            for hub in (2, 3)
+        ]
+        assert hub_runs == [[], [Direction(d, POSITIVE) for d in range(1, 5)]]

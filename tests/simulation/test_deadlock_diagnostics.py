@@ -1,6 +1,8 @@
 """Unit tests for the wait-for-graph deadlock diagnostics."""
 
 from repro.core import TurnModel
+from repro.core.turns import Turn
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.routing import TurnRestrictedMinimal, XY
 from repro.simulation import (
     SimulationConfig,
@@ -10,6 +12,7 @@ from repro.simulation import (
 )
 from repro.simulation.packet import PacketState
 from repro.topology import Mesh2D
+from repro.topology.base import EAST, NORTH, SOUTH, WEST
 from repro.traffic import UniformPattern
 
 
@@ -89,3 +92,93 @@ class TestWaitForGraph:
                 assert packet.in_network
         assert report.blocked_packets >= len(report.cycles[0])
         assert "circular wait" in report.describe()
+
+
+def direct_wait_for_edges(sim):
+    """The wait-for edges read from the algorithm itself — through the
+    run's fault mask (``sim.algorithm`` wraps it when there is a fault
+    plan) — rather than from the engine's tables."""
+    edges = set()
+    for packet in sim.waiting:
+        if packet.state is PacketState.EJECT_WAIT:
+            holder = sim.ejection_alloc[packet.head_node]
+            if holder is not None and holder is not packet:
+                edges.add((packet, holder))
+            continue
+        wanted = sim.algorithm.vc_candidates(
+            packet.head_node, packet.dst, packet.head_direction,
+            packet.head_vc, sim.num_vc,
+        )
+        holders = [
+            sim.channel_alloc[sim.channel_ids[(packet.head_node, d)] + vc]
+            for d, vc in wanted
+        ]
+        if all(holder is not None for holder in holders):
+            edges |= {(packet, h) for h in holders if h is not packet}
+    return edges
+
+
+def graph_edges(graph):
+    return {(src, dst) for src in graph.nodes() for dst in graph.successors(src)}
+
+
+class TestDecisionsTheEngineMakes:
+    """The wait-for graph reads the engine's own routing decisions: every
+    virtual channel of a wanted link, and no channel the fault plan
+    killed."""
+
+    def test_two_vc_deadlock(self):
+        # Only the four clockwise turns are allowed: Figure 1's ring.
+        clockwise = TurnModel.from_prohibited("clockwise", 2, [
+            Turn(EAST, NORTH), Turn(NORTH, WEST),
+            Turn(WEST, SOUTH), Turn(SOUTH, EAST),
+        ])
+        mesh = Mesh2D(6, 6)
+        config = SimulationConfig(
+            offered_load=8.0, warmup_cycles=0, measure_cycles=5_000,
+            deadlock_threshold=300, seed=1, virtual_channels=2,
+        )
+        sim = WormholeSimulator(
+            TurnRestrictedMinimal(mesh, clockwise), UniformPattern(mesh), config
+        )
+        assert sim.run().deadlock
+        report = detect_deadlock(sim)
+        assert report.deadlocked
+        assert {p.head_vc for cycle in report.cycles for p in cycle} == {0, 1}
+        assert graph_edges(build_wait_for_graph(sim)) == (
+            direct_wait_for_edges(sim)
+        )
+
+    def test_dead_channels_close_a_ring(self):
+        """Fully adaptive routing on a 2x2 mesh cannot deadlock four
+        diagonal packets, until the faults remove each one's
+        counter-clockwise first hop: the masked answers then wait in a
+        ring, where the unmasked ones would see a free dead channel."""
+        mesh = Mesh2D(2, 2)
+        cut = [((0, 0), EAST), ((0, 1), SOUTH), ((1, 1), WEST), ((1, 0), NORTH)]
+        events = tuple(
+            FaultEvent.channel(next(
+                c for c in mesh.channels()
+                if c.src == mesh.node_xy(*corner) and c.direction == direction
+            ))
+            for corner, direction in cut
+        )
+        anything = TurnRestrictedMinimal(
+            mesh, TurnModel.from_prohibited("none", 2, set())
+        )
+        config = SimulationConfig(
+            offered_load=0.0, warmup_cycles=0, measure_cycles=1_000, seed=1,
+            fault_plan=FaultPlan(events=events),
+        )
+        sim = WormholeSimulator(anything, UniformPattern(mesh), config)
+        for (x, y), _ in cut:
+            sim.inject_packet(
+                mesh.node_xy(x, y), mesh.node_xy(1 - x, 1 - y), 40, created=0
+            )
+        for _ in range(30):
+            sim.step()
+        report = detect_deadlock(sim)
+        assert [len(cycle) for cycle in report.cycles] == [4]
+        assert graph_edges(build_wait_for_graph(sim)) == (
+            direct_wait_for_edges(sim)
+        )
