@@ -49,9 +49,7 @@ def main() -> None:
 
     # Degree of adaptiveness for one pair.
     src, dst = mesh.node_xy(2, 6), mesh.node_xy(9, 1)
-    paths = count_shortest_paths(
-        lambda a, b: algorithm.candidates(a, b), mesh, src, dst
-    )
+    paths = count_shortest_paths(algorithm.candidates, mesh, src, dst)
     print(f"shortest paths offered from (2,6) to (9,1): {paths}")
 
     # And it simulates like any built-in algorithm.

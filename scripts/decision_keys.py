@@ -12,7 +12,7 @@ decision key (:meth:`~repro.routing.table.NetworkTables.key`) would
 answer a query wrongly: 0 for every certified algorithm (dateline,
 escape-VC, xy and dimension-order), and many for negative-first-torus
 and first-hop wraparound, the reason those two stay exactly keyed
-(docs/SIMULATOR.md).
+(docs/PERFORMANCE.md, "Cold set-up").
 
 Run:  python scripts/decision_keys.py tables > docs/DECISION_TABLES.md
       python scripts/decision_keys.py torus-conflicts
@@ -113,12 +113,9 @@ def torus_conflicts() -> str:
         except ValueError:
             continue
         tables = NetworkTables(algorithm, num_vc=2)
-        ports = set(tables.arrive_port) | {
-            node * tables.node_ports for node in topology.nodes()
-        }
         seen, conflicts, queries = {}, 0, 0
         for port, dest, escape in itertools.product(
-            sorted(ports), topology.nodes(), (False, True)
+            tables.waiting_ports(), topology.nodes(), (False, True)
         ):
             answer = tables._ask(port, dest, escape)
             key = tables.key(port, dest, escape)

@@ -17,20 +17,19 @@ what EXPERIMENTS.md tracks, over eight seeds of a denser preset
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.adaptiveness import pcube_choice_table
-from ..routing.registry import hypercube_algorithms, mesh_algorithms
+from ..routing.registry import HYPERCUBE_ALGORITHMS, MESH_ALGORITHMS
 from ..simulation.config import SimulationConfig
 from ..topology.hypercube import Hypercube
-from ..topology.mesh import Mesh2D
 from ..traffic.patterns import (
     HypercubeTransposePattern,
     MeshTransposePattern,
     ReverseFlipPattern,
     UniformPattern,
 )
-from .runner import ParallelSweepRunner
+from .runner import ParallelSweepRunner, parse_topology_spec, shared_algorithm
 from .sweep import SweepSeries, compare_algorithms
 
 
@@ -72,19 +71,43 @@ FULL = ExperimentPreset(
 )
 
 
+MESH_FIGURE = ("mesh:16x16", MESH_ALGORITHMS)
+"""Figures 13-14: the network and the four algorithms compared on it."""
+
+CUBE_FIGURE = ("cube:8", HYPERCUBE_ALGORITHMS)
+"""Figures 15-16: the network and the four algorithms compared on it."""
+
+
+def _figure(
+    network: Tuple[str, Sequence[str]],
+    pattern: Callable,
+    loads: Sequence[float],
+    preset: ExperimentPreset,
+    progress: Optional[Callable],
+    runner: Optional[ParallelSweepRunner],
+) -> List[SweepSeries]:
+    """One figure's sweeps on the process-wide network objects, the ones
+    every point of the run is built on too."""
+    spec, names = network
+    topology = parse_topology_spec(spec)
+    return compare_algorithms(
+        [shared_algorithm(name, topology) for name in names],
+        pattern,
+        loads,
+        preset.config(),
+        progress,
+        runner=runner,
+    )
+
+
 def figure13_mesh_uniform(
     preset: ExperimentPreset = FAST,
     progress: Optional[Callable] = None,
     runner: Optional[ParallelSweepRunner] = None,
 ) -> List[SweepSeries]:
     """Figure 13: xy / WF / NL / NF under uniform traffic, 16x16 mesh."""
-    return compare_algorithms(
-        mesh_algorithms(Mesh2D(16, 16)),
-        lambda topo: UniformPattern(topo),
-        preset.mesh_loads,
-        preset.config(),
-        progress,
-        runner=runner,
+    return _figure(
+        MESH_FIGURE, UniformPattern, preset.mesh_loads, preset, progress, runner
     )
 
 
@@ -94,13 +117,8 @@ def figure14_mesh_transpose(
     runner: Optional[ParallelSweepRunner] = None,
 ) -> List[SweepSeries]:
     """Figure 14: the same four algorithms under matrix-transpose."""
-    return compare_algorithms(
-        mesh_algorithms(Mesh2D(16, 16)),
-        lambda topo: MeshTransposePattern(topo),
-        preset.mesh_loads,
-        preset.config(),
-        progress,
-        runner=runner,
+    return _figure(
+        MESH_FIGURE, MeshTransposePattern, preset.mesh_loads, preset, progress, runner
     )
 
 
@@ -111,13 +129,13 @@ def figure15_cube_transpose(
 ) -> List[SweepSeries]:
     """Figure 15: e-cube / ABONF / ABOPL / p-cube under the embedded
     matrix transpose, binary 8-cube."""
-    return compare_algorithms(
-        hypercube_algorithms(Hypercube(8)),
-        lambda topo: HypercubeTransposePattern(topo),
+    return _figure(
+        CUBE_FIGURE,
+        HypercubeTransposePattern,
         preset.cube_loads,
-        preset.config(),
+        preset,
         progress,
-        runner=runner,
+        runner,
     )
 
 
@@ -127,13 +145,8 @@ def figure16_cube_reverse_flip(
     runner: Optional[ParallelSweepRunner] = None,
 ) -> List[SweepSeries]:
     """Figure 16: the same four algorithms under reverse-flip."""
-    return compare_algorithms(
-        hypercube_algorithms(Hypercube(8)),
-        lambda topo: ReverseFlipPattern(topo),
-        preset.cube_loads,
-        preset.config(),
-        progress,
-        runner=runner,
+    return _figure(
+        CUBE_FIGURE, ReverseFlipPattern, preset.cube_loads, preset, progress, runner
     )
 
 

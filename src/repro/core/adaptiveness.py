@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..topology.base import Direction, Topology
 from ..topology.hypercube import Hypercube
@@ -123,37 +123,40 @@ def average_adaptiveness_ratio(
 
 
 def count_shortest_paths(
-    candidates: Callable[[int, int], Sequence[Direction]],
+    candidates: Callable[[int, int, Optional[Direction]], Sequence[Direction]],
     topology: Topology,
     src: int,
     dst: int,
 ) -> int:
     """Exhaustively count the minimal paths an algorithm permits.
 
-    ``candidates(node, dst)`` must return the output directions the
-    algorithm allows at ``node``; only distance-reducing moves are
-    followed, so this counts shortest paths even for algorithms whose
-    candidate sets include nonminimal options.
+    ``candidates(node, dst, heading)`` must return the output directions
+    the algorithm allows at ``node`` for a packet arriving with
+    ``heading`` (None at its source) — an algorithm's own
+    ``candidates`` method.  Paths are counted over (node, heading)
+    states, so a turn the algorithm prohibits is never taken; only
+    distance-reducing moves are followed, so this counts shortest paths
+    even for algorithms whose candidate sets include nonminimal options.
     """
-    memo: Dict[int, int] = {}
+    memo: Dict[Tuple[int, Optional[Direction]], int] = {}
 
-    def paths_from(node: int) -> int:
+    def paths_from(node: int, heading: Optional[Direction]) -> int:
         if node == dst:
             return 1
-        if node in memo:
-            return memo[node]
+        if (node, heading) in memo:
+            return memo[node, heading]
         here = topology.distance(node, dst)
         total = 0
-        for direction in candidates(node, dst):
+        for direction in candidates(node, dst, heading):
             nbr = topology.neighbor(node, direction)
             if nbr is None:
                 continue
             if topology.distance(nbr, dst) == here - 1:
-                total += paths_from(nbr)
-        memo[node] = total
+                total += paths_from(nbr, direction)
+        memo[node, heading] = total
         return total
 
-    return paths_from(src)
+    return paths_from(src, None)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ class RoutingDeadEnd(RuntimeError):
     """Raised when an algorithm offers no candidate before the destination."""
 
 
+class RoutingLivelock(RuntimeError):
+    """Raised when a walk exceeds its hop budget."""
+
+
 def walk(
     algorithm: RoutingAlgorithm,
     src: int,
@@ -33,8 +37,8 @@ def walk(
     ``rng``, or the first candidate when neither is given).
     ``initial_direction`` is the heading the packet arrives at ``src``
     with (None = injection).  Raises :class:`RoutingDeadEnd` if the
-    algorithm strands the packet, and ``RuntimeError`` if ``max_hops`` is
-    exceeded (livelock guard).
+    algorithm strands the packet, and :class:`RoutingLivelock` if
+    ``max_hops`` is exceeded.
     """
     topology = algorithm.topology
     if max_hops is None:
@@ -67,7 +71,7 @@ def walk(
         current = nxt
         hops += 1
         if hops > max_hops:
-            raise RuntimeError(
+            raise RoutingLivelock(
                 f"{algorithm.name} exceeded {max_hops} hops from {src} to "
                 f"{dst}; path so far {path}"
             )
@@ -97,14 +101,18 @@ def enumerate_minimal_paths(
 ) -> Iterator[Tuple[int, ...]]:
     """Yield every shortest node path the algorithm permits (DFS order).
 
-    Only distance-reducing candidate moves are followed.  ``limit`` caps
-    the number of paths yielded.
+    Each hop asks the algorithm with the heading the packet arrives
+    with, as :func:`walk` does, so a path takes only the turns the
+    algorithm allows.  Only distance-reducing candidate moves are
+    followed.  ``limit`` caps the number of paths yielded.
     """
     topology = algorithm.topology
     yielded = 0
-    stack: List[Tuple[int, Tuple[int, ...]]] = [(src, (src,))]
+    stack: List[Tuple[int, Optional[Direction], Tuple[int, ...]]] = [
+        (src, None, (src,))
+    ]
     while stack:
-        node, path = stack.pop()
+        node, heading, path = stack.pop()
         if node == dst:
             yield path
             yielded += 1
@@ -112,12 +120,12 @@ def enumerate_minimal_paths(
                 return
             continue
         here = topology.distance(node, dst)
-        for direction in reversed(algorithm.candidates(node, dst)):
+        for direction in reversed(algorithm.candidates(node, dst, heading)):
             nbr = topology.neighbor(node, direction)
             if nbr is None:
                 continue
             if topology.distance(nbr, dst) == here - 1:
-                stack.append((nbr, path + (nbr,)))
+                stack.append((nbr, direction, path + (nbr,)))
 
 
 def directions_of_path(topology: Topology, node_path: Sequence[int]) -> List[Direction]:

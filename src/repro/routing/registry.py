@@ -121,29 +121,26 @@ def offset_classed(algorithm: RoutingAlgorithm, num_vc: int = 1) -> bool:
     return type(algorithm) in _CLASSED
 
 
+MESH_ALGORITHMS = ("xy", "west-first", "north-last", "negative-first")
+"""The four algorithms the paper compares on the 16x16 mesh."""
+
+HYPERCUBE_ALGORITHMS = ("e-cube", "abonf", "abopl", "p-cube")
+"""The four algorithms the paper compares on the binary 8-cube.
+
+ABONF, ABOPL, and negative-first operate on the hypercube through the
+general n-dimensional mesh formulation (negative-first's hypercube
+special case is p-cube).
+"""
+
+
 def mesh_algorithms(topology: Topology) -> List[RoutingAlgorithm]:
-    """The four algorithms the paper compares on the 16x16 mesh."""
-    return [
-        XY(topology),
-        WestFirst(topology),
-        NorthLast(topology),
-        NegativeFirst(topology),
-    ]
+    """:data:`MESH_ALGORITHMS` built on ``topology``."""
+    return [make_algorithm(name, topology) for name in MESH_ALGORITHMS]
 
 
 def hypercube_algorithms(topology: Hypercube) -> List[RoutingAlgorithm]:
-    """The four algorithms the paper compares on the binary 8-cube.
-
-    ABONF, ABOPL, and negative-first operate on the hypercube through the
-    general n-dimensional mesh formulation (negative-first's hypercube
-    special case is p-cube).
-    """
-    return [
-        ECube(topology),
-        AllButOneNegativeFirst(topology),
-        AllButOnePositiveLast(topology),
-        PCube(topology),
-    ]
+    """:data:`HYPERCUBE_ALGORITHMS` built on ``topology``."""
+    return [make_algorithm(name, topology) for name in HYPERCUBE_ALGORITHMS]
 
 
 def torus_algorithms(topology: KAryNCube) -> List[RoutingAlgorithm]:

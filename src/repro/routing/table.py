@@ -339,6 +339,12 @@ class NetworkTables:
         moves = tuple(out)
         return self._interned.setdefault(moves, moves)
 
+    def waiting_ports(self) -> List[int]:
+        """Every input port a header can wait at, ascending: each node's
+        injection port and the arrival port of every runtime channel."""
+        injected = range(0, self.topology.num_nodes * self.node_ports, self.node_ports)
+        return sorted(set(self.arrive_port).union(injected))
+
     @property
     def num_entries(self) -> int:
         """Decisions currently held (for tests/diagnostics)."""

@@ -11,7 +11,9 @@ Two relations are supported:
 
 * :func:`algorithm_cdg` — the dependencies of a concrete routing
   *function* (destination-dependent), used to verify every algorithm in
-  the paper on real topologies;
+  the paper on real topologies; :func:`vc_algorithm_cdg` builds the same
+  over (channel, VC) states, and both walk one closure of minimal and
+  escape moves;
 * :func:`turn_set_cdg` — the dependencies allowed by a bare prohibition
   set (any packet may take any allowed turn, regardless of destination),
   used for Section 3's claim that exactly 12 of the 16 two-turn
@@ -21,11 +23,14 @@ Two relations are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.turn_model import TurnModel
 from ..topology.base import Channel, Topology
 from .graph import DiGraph
+
+State = Tuple[Channel, int]
+"""A virtual channel: a physical channel and its VC index."""
 
 
 @dataclass
@@ -41,6 +46,68 @@ class DeadlockVerdict:
         return self.deadlock_free
 
 
+def _requests(
+    algorithm, moves
+) -> Iterator[Tuple[Optional[State], List[State], List[State]]]:
+    """Every request a packet can make, over every destination.
+
+    ``moves(node, dest, in_direction, in_vc)`` lists the ``(direction,
+    vc)`` pairs a header may ask for as two lists, its minimal moves and
+    its escape (misroute) moves; ``in_direction`` and ``in_vc`` are None
+    at its source.  Seeds every source's first hops, then closes the
+    (channel, vc) states under both kinds of move, yielding ``(held,
+    minimal, escape)`` once per reachable state: ``held`` is the state
+    the packet waits in (None at its source), ``minimal`` and ``escape``
+    the states it may request there.
+    """
+    topology: Topology = algorithm.topology
+
+    for dest in topology.nodes():
+        seen = set()
+        frontier: List[State] = []
+
+        def offer(node, in_direction, in_vc) -> List[List[State]]:
+            offered = []
+            for pairs in moves(node, dest, in_direction, in_vc):
+                states = []
+                for direction, vc in pairs:
+                    channel = topology.channel(node, direction)
+                    if channel is None:
+                        continue
+                    states.append((channel, vc))
+                    if (channel, vc) not in seen:
+                        seen.add((channel, vc))
+                        frontier.append((channel, vc))
+                offered.append(states)
+            return offered
+
+        for src in topology.nodes():
+            if src != dest:
+                yield (None, *offer(src, None, None))
+        while frontier:
+            held = frontier.pop()
+            channel, vc = held
+            if channel.dst != dest:
+                yield (held, *offer(channel.dst, channel.direction, vc))
+
+
+def _vc_moves(algorithm, num_vc: int):
+    """Minimal and escape ``(direction, vc)`` moves at ``num_vc`` VCs,
+    out-of-range VCs dropped."""
+
+    def moves(node, dest, in_direction, in_vc):
+        return [
+            [
+                (direction, vc)
+                for direction, vc in query(node, dest, in_direction, in_vc, num_vc)
+                if 0 <= vc < num_vc
+            ]
+            for query in (algorithm.vc_candidates, algorithm.vc_escape_candidates)
+        ]
+
+    return moves
+
+
 def algorithm_cdg(algorithm) -> DiGraph:
     """CDG of a routing function over every destination.
 
@@ -50,43 +117,20 @@ def algorithm_cdg(algorithm) -> DiGraph:
     (nonminimal) candidates are included, so nonminimal variants are
     verified against their full behaviour.
     """
-    topology: Topology = algorithm.topology
+
+    def moves(node, dest, in_direction, in_vc):
+        return [
+            [(direction, 0) for direction in query(node, dest, in_direction)]
+            for query in (algorithm.candidates, algorithm.escape_candidates)
+        ]
+
     graph: DiGraph = DiGraph()
-    for channel in topology.channels():
+    for channel in algorithm.topology.channels():
         graph.add_node(channel)
-
-    def outputs(node: int, dest: int, in_direction) -> List[Channel]:
-        dirs = list(algorithm.candidates(node, dest, in_direction))
-        dirs += list(algorithm.escape_candidates(node, dest, in_direction))
-        found = []
-        for direction in dirs:
-            ch = topology.channel(node, direction)
-            if ch is not None:
-                found.append(ch)
-        return found
-
-    for dest in topology.nodes():
-        # usable[c] - could any packet headed for `dest` occupy channel c?
-        # Seed with every injection-reachable first hop, then close under
-        # the routing relation, adding dependency edges as we go.
-        frontier: List[Channel] = []
-        seen = set()
-        for src in topology.nodes():
-            if src == dest:
-                continue
-            for ch in outputs(src, dest, None):
-                if ch not in seen:
-                    seen.add(ch)
-                    frontier.append(ch)
-        while frontier:
-            c1 = frontier.pop()
-            if c1.dst == dest:
-                continue
-            for c2 in outputs(c1.dst, dest, c1.direction):
-                graph.add_edge(c1, c2)
-                if c2 not in seen:
-                    seen.add(c2)
-                    frontier.append(c2)
+    for held, minimal, escape in _requests(algorithm, moves):
+        if held is not None:
+            for channel, _ in minimal + escape:
+                graph.add_edge(held[0], channel)
     return graph
 
 
@@ -95,53 +139,21 @@ def vc_algorithm_cdg(algorithm, num_vc: int) -> DiGraph:
 
     Verifies VC-disciplined algorithms (dateline torus routing,
     escape-VC adaptive routing) the same way :func:`algorithm_cdg`
-    verifies plain ones: seed every injection-reachable first hop, close
-    under the ``vc_candidates`` relation, and check acyclicity.
+    verifies plain ones, over the ``vc_candidates`` and
+    ``vc_escape_candidates`` relation; at one VC its edges are
+    :func:`algorithm_cdg`'s.
     """
-    topology: Topology = algorithm.topology
     graph: DiGraph = DiGraph()
-
-    def outputs(node: int, dest: int, in_direction, in_vc) -> List[tuple]:
-        pairs = algorithm.vc_candidates(node, dest, in_direction, in_vc, num_vc)
-        found = []
-        for direction, vc in pairs:
-            ch = topology.channel(node, direction)
-            if ch is not None and 0 <= vc < num_vc:
-                found.append((ch, vc))
-        return found
-
-    for dest in topology.nodes():
-        frontier: List[tuple] = []
-        seen = set()
-        for src in topology.nodes():
-            if src == dest:
-                continue
-            for state in outputs(src, dest, None, None):
-                if state not in seen:
-                    seen.add(state)
-                    frontier.append(state)
-        while frontier:
-            c1, vc1 = frontier.pop()
-            if c1.dst == dest:
-                continue
-            for c2, vc2 in outputs(c1.dst, dest, c1.direction, vc1):
-                graph.add_edge((c1, vc1), (c2, vc2))
-                if (c2, vc2) not in seen:
-                    seen.add((c2, vc2))
-                    frontier.append((c2, vc2))
+    for held, minimal, escape in _requests(algorithm, _vc_moves(algorithm, num_vc)):
+        if held is not None:
+            for state in minimal + escape:
+                graph.add_edge(held, state)
     return graph
 
 
 def verify_vc_algorithm(algorithm, num_vc: int) -> DeadlockVerdict:
     """Deadlock-freedom verdict for a VC-disciplined routing algorithm."""
-    graph = vc_algorithm_cdg(algorithm, num_vc)
-    cycle = graph.find_cycle()
-    return DeadlockVerdict(
-        deadlock_free=cycle is None,
-        cycle=cycle,
-        num_channels=graph.num_nodes(),
-        num_dependencies=graph.num_edges(),
-    )
+    return _verdict(vc_algorithm_cdg(algorithm, num_vc))
 
 
 def verify_escape_discipline(
@@ -153,54 +165,24 @@ def verify_escape_discipline(
     a fully adaptive algorithm whose adaptive virtual channels form
     cycles is still deadlock free when (1) its *escape* subnetwork's
     dependencies are acyclic and packets on it stay on it, and (2) every
-    reachable waiting state offers at least one escape candidate.  This
-    function checks both conditions over all destinations.
+    reachable waiting state offers at least one escape-VC candidate
+    among its minimal moves.  This function checks both conditions over
+    all destinations.
     """
-    topology: Topology = algorithm.topology
     escape_graph: DiGraph = DiGraph()
     always_escapable = True
-
-    def outputs(node, dest, in_direction, in_vc):
-        return algorithm.vc_candidates(node, dest, in_direction, in_vc, num_vc)
-
-    for dest in topology.nodes():
-        frontier = []
-        seen = set()
-        for src in topology.nodes():
-            if src == dest:
-                continue
-            pairs = outputs(src, dest, None, None)
-            if not any(vc == escape_vc for _, vc in pairs):
-                always_escapable = False
-            for direction, vc in pairs:
-                ch = topology.channel(src, direction)
-                if ch is not None and (ch, vc) not in seen:
-                    seen.add((ch, vc))
-                    frontier.append((ch, vc))
-        while frontier:
-            c1, vc1 = frontier.pop()
-            if c1.dst == dest:
-                continue
-            pairs = outputs(c1.dst, dest, c1.direction, vc1)
-            if not any(vc == escape_vc for _, vc in pairs):
-                always_escapable = False
-            for direction, vc2 in pairs:
-                c2 = topology.channel(c1.dst, direction)
-                if c2 is None:
-                    continue
-                if vc1 == escape_vc and vc2 == escape_vc:
-                    escape_graph.add_edge((c1, vc1), (c2, vc2))
-                if (c2, vc2) not in seen:
-                    seen.add((c2, vc2))
-                    frontier.append((c2, vc2))
-
-    cycle = escape_graph.find_cycle()
-    return DeadlockVerdict(
-        deadlock_free=always_escapable and cycle is None,
-        cycle=cycle,
-        num_channels=escape_graph.num_nodes(),
-        num_dependencies=escape_graph.num_edges(),
-    )
+    for held, minimal, escape in _requests(algorithm, _vc_moves(algorithm, num_vc)):
+        # Escape (misroute) moves are offered only while a packet's
+        # misroute budget lasts, so only a minimal offer satisfies (2).
+        if not any(vc == escape_vc for _, vc in minimal):
+            always_escapable = False
+        if held is not None and held[1] == escape_vc:
+            for state in minimal + escape:
+                if state[1] == escape_vc:
+                    escape_graph.add_edge(held, state)
+    verdict = _verdict(escape_graph)
+    verdict.deadlock_free = always_escapable and verdict.deadlock_free
+    return verdict
 
 
 def turn_set_cdg(topology: Topology, model: TurnModel) -> DiGraph:

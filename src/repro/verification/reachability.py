@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 
 from ..topology.base import Topology
 from ..routing.base import RoutingAlgorithm
+from ..routing.paths import RoutingDeadEnd, RoutingLivelock, walk
 
 
 @dataclass
@@ -42,8 +43,6 @@ def check_connectivity(
     whether every walk was exactly minimal in length.
     """
     topology: Topology = algorithm.topology
-    if max_hops is None:
-        max_hops = 4 * sum(topology.dims) + 16
     if pairs is None:
         pairs = [
             (s, d)
@@ -56,31 +55,15 @@ def check_connectivity(
     max_seen = 0
     minimal_everywhere = True
     for src, dst in pairs:
-        current = src
-        in_direction = None
-        hops = 0
-        ok = False
-        while hops <= max_hops:
-            if current == dst:
-                ok = True
-                break
-            options = algorithm.candidates(current, dst, in_direction)
-            if not options:
-                break
-            direction = options[0]
-            nxt = topology.neighbor(current, direction)
-            if nxt is None:
-                break
-            in_direction = direction
-            current = nxt
-            hops += 1
-        if ok:
-            delivered += 1
-            max_seen = max(max_seen, hops)
-            if hops != topology.distance(src, dst):
-                minimal_everywhere = False
-        else:
+        try:
+            hops = len(walk(algorithm, src, dst, max_hops=max_hops)) - 1
+        except (RoutingDeadEnd, RoutingLivelock):
             stranded.append((src, dst))
+            continue
+        delivered += 1
+        max_seen = max(max_seen, hops)
+        if hops != topology.distance(src, dst):
+            minimal_everywhere = False
     return ConnectivityReport(
         total_pairs=len(pairs),
         delivered_pairs=delivered,

@@ -3,8 +3,10 @@
 from repro.analysis import (
     FIGURE_HARNESSES,
     ExperimentPreset,
+    figure14_mesh_transpose,
     section5_pcube_table,
 )
+from repro.routing import TurnRestrictedMinimal
 
 
 TINY = ExperimentPreset(
@@ -54,3 +56,20 @@ class TestSection5Harness:
         assert [r.nonminimal_extra for r in rows] == [2, 2, 2, 0, 0, 0, 0]
         assert rows[0].address == "1011010100"
         assert rows[-1].address == "0010111001"
+
+
+def test_a_repeated_figure_reuses_the_shared_network_objects(monkeypatch):
+    """The harnesses build their algorithms through the process-wide
+    memos, so a second figure builds no algorithm object (west-first,
+    north-last and negative-first are turn-restricted tables)."""
+    figure14_mesh_transpose(TINY)
+    built = []
+    original = TurnRestrictedMinimal.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TurnRestrictedMinimal, "__init__", counting)
+    figure14_mesh_transpose(TINY)
+    assert built == []

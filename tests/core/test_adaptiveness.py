@@ -8,7 +8,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from turn_reference import ExactTurnRouting, seeded_minimal_3d_sets
 
+from repro.analysis.runner import parse_topology_spec
 from repro.core import (
     average_adaptiveness_ratio,
     count_shortest_paths,
@@ -27,7 +29,10 @@ from repro.routing import (
     NegativeFirst,
     NorthLast,
     PCube,
+    TurnRestrictedMinimal,
     WestFirst,
+    enumerate_minimal_paths,
+    path_respects_turn_model,
 )
 from repro.topology import Hypercube, Mesh2D
 
@@ -115,10 +120,7 @@ class TestFormulasMatchEnumeration:
                 if src == dst:
                     continue
                 counted = count_shortest_paths(
-                    lambda node, d: algorithm.candidates(node, d),
-                    mesh,
-                    src,
-                    dst,
+                    algorithm.candidates, mesh, src, dst
                 )
                 assert counted == formula(mesh, src, dst), (
                     f"{algorithm.name} mismatch for "
@@ -133,10 +135,7 @@ class TestFormulasMatchEnumeration:
                 if src == dst:
                     continue
                 counted = count_shortest_paths(
-                    lambda node, d: algorithm.candidates(node, d),
-                    cube,
-                    src,
-                    dst,
+                    algorithm.candidates, cube, src, dst
                 )
                 assert counted == s_pcube(cube, src, dst)
 
@@ -160,6 +159,36 @@ class TestFormulasMatchEnumeration:
         assert s_pcube(cube, src, dst) == math.factorial(3) * math.factorial(3)
         assert s_fully_adaptive(cube, src, dst) == math.factorial(6)
         assert pcube_ratio(cube, src, dst) == Fraction(1, math.comb(6, 3))
+
+
+class TestHeadingAwareWalks:
+    """Enumeration and counting walk (node, heading) states: a path takes
+    only the turns its algorithm allows.  Under most minimal 3D turn sets
+    a heading-blind walk finds turn-illegal paths and miscounts (the
+    paper's named models happen to hide it)."""
+
+    def test_minimal_3d_sets_on_a_3x3x3_mesh(self):
+        mesh = parse_topology_spec("mesh:3x3x3")
+        for model in seeded_minimal_3d_sets(40, 1):
+            algorithm = TurnRestrictedMinimal(mesh, model)
+            reference = ExactTurnRouting(model)
+            for src in mesh.nodes():
+                for dst in mesh.nodes():
+                    if src == dst:
+                        continue
+                    paths = list(enumerate_minimal_paths(algorithm, src, dst))
+                    for path in paths:
+                        assert path_respects_turn_model(mesh, path, model), (
+                            model, path
+                        )
+                    offset = tuple(
+                        mesh.offset(src, dst, dim) for dim in range(3)
+                    )
+                    want = reference.count(offset)
+                    assert len(paths) == want, (model, src, dst)
+                    assert count_shortest_paths(
+                        algorithm.candidates, mesh, src, dst
+                    ) == want, (model, src, dst)
 
 
 class TestAverageRatio:

@@ -172,7 +172,7 @@ class TestMaximalAdaptivenessExhaustive:
                     if src == dst:
                         continue
                     counted = count_shortest_paths(
-                        lambda a, b: algorithm.candidates(a, b), mesh, src, dst
+                        algorithm.candidates, mesh, src, dst
                     )
                     assert counted >= 1, (
                         algorithm.name, mesh.coords(src), mesh.coords(dst)

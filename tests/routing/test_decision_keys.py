@@ -142,9 +142,7 @@ def test_a_full_dateline_torus_fill_asks_once_per_key():
     tables = CountingTables(
         make_algorithm("dateline-dimension-order", topology), num_vc=2
     )
-    ports = sorted(set(tables.arrive_port) | {
-        node * tables.node_ports for node in topology.nodes()
-    })
+    ports = tables.waiting_ports()
     for port, dest in itertools.product(ports, topology.nodes()):
         tables.minimal(port, dest)
         tables.escape(port, dest)

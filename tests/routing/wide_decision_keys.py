@@ -8,7 +8,8 @@ the same 2D meshes up to 8x8 at 2 VCs; every certified torus algorithm
 square meshes, over every one of the 256 subsets of the eight 2D turns
 on ``mesh:5x6``, and over all 4,096 minimal 3D sets, each against the
 exact-offset reference on ``mesh:5x5x5`` and split by derived clamp on
-``mesh:7x7x7``.
+``mesh:7x7x7``.  Also checks the ``decision-keys`` counts of
+docs/PERFORMANCE.md, which full fills of the figures' networks give.
 
 Negative-first-torus and first-hop wraparound keep the exact
 ``(port, dest)`` path; ``test_decision_keys.py`` checks that path at
@@ -22,12 +23,15 @@ or one of the three parts CI runs in parallel with ``-k``: ``on_2d_meshes``
 turn`` (3D meshes, cubes, 2 VCs and tori) and ``turn`` (the turn sets).
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 from decision_keys import assert_tables_answer_directly, registered_on
 from turn_reference import assert_matches_exact_reference, minimal_3d_sets
 
+from repro.analysis.claims import splice
 from repro.analysis.runner import parse_topology_spec
 from repro.core import TurnModel, two_turn_prohibitions_2d
 from repro.core.turns import ninety_degree_turns
@@ -56,6 +60,21 @@ def test_registered_algorithms_on_2d_meshes(spec):
 def test_registered_algorithms(spec):
     for algorithm in registered_on(spec):
         assert_tables_answer_directly(algorithm)
+
+
+def test_the_performance_doc_decision_key_counts_are_current():
+    """docs/PERFORMANCE.md's ``decision-keys`` block is what
+    ``scripts/perf_counts.py`` renders now (about 7 s, most of it the
+    ``cube:8`` fill, too long for tier-1)."""
+    repo = Path(__file__).resolve().parents[2]
+    path = repo / "scripts" / "perf_counts.py"
+    spec = importlib.util.spec_from_file_location("perf_counts_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = (repo / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+    assert splice(text, {"decision-keys": script.decision_keys_block()}) == text, (
+        "the decision-keys block is stale: run python scripts/perf_counts.py"
+    )
 
 
 @pytest.mark.parametrize("spec", VC_MESHES)

@@ -6,7 +6,8 @@ It shares no code with the class: the offset is never clamped, the
 search recurses on ``TurnModel.is_allowed`` over :class:`Direction`
 objects, and the node a query stands at is only used to ask whether a
 neighbour exists.  Imported by ``tests/routing/test_turn_restricted.py``
-(64 seeded minimal 3D sets) and ``tests/routing/wide_decision_keys.py``
+(64 seeded minimal 3D sets), ``tests/core/test_adaptiveness.py`` (path
+counts over 40 of them) and ``tests/routing/wide_decision_keys.py``
 (all 4,096 of them).
 """
 
@@ -42,6 +43,7 @@ class ExactTurnRouting:
         self.model = model
         self.allowed = lru_cache(maxsize=None)(model.is_allowed)
         self.minimal = lru_cache(maxsize=None)(self._minimal)
+        self.count = lru_cache(maxsize=None)(self._count)
 
     def _minimal(self, offset, heading=None):
         """The productive directions, legal after ``heading`` (None:
@@ -58,6 +60,18 @@ class ExactTurnRouting:
             if not any(closer) or self.minimal(tuple(closer), direction):
                 out.append(direction)
         return out
+
+    def _count(self, offset, heading=None):
+        """The number of minimal paths that cover ``offset`` from
+        ``heading``, each hop one of :meth:`minimal`'s answers."""
+        if not any(offset):
+            return 1
+        total = 0
+        for direction in self.minimal(offset, heading):
+            closer = list(offset)
+            closer[direction.dim] -= direction.sign
+            total += self.count(tuple(closer), direction)
+        return total
 
     def escape(self, topology, node, offset, heading=None):
         """The non-productive, turn-legal directions out of ``node`` into

@@ -8,9 +8,12 @@ broken.
 """
 
 import pytest
+from decision_keys import registered_on
 
 from repro.core import Turn, TurnModel, two_turn_prohibitions_2d
 from repro.routing import (
+    DatelineDimensionOrder,
+    EscapeVCAdaptive,
     hypercube_algorithms,
     mesh_algorithms,
     torus_algorithms,
@@ -26,9 +29,13 @@ from repro.topology import (
     WEST,
 )
 from repro.verification import (
+    algorithm_cdg,
     turn_set_is_deadlock_free,
+    vc_algorithm_cdg,
     verify_algorithm,
+    verify_escape_discipline,
     verify_turn_set,
+    verify_vc_algorithm,
 )
 
 
@@ -204,3 +211,44 @@ class TestTurnSetVerification:
         for pair in paper:
             assert sum(1 for o in orbits if pair in o) == 1
         assert len({id(o) for p in paper for o in orbits if p in o}) == 3
+
+
+class TestOneClosure:
+    """The plain and the virtual-channel CDG builders walk one closure,
+    escape moves included: at one VC they build the same relation."""
+
+    @pytest.mark.parametrize(
+        "spec", ["mesh:4x4", "cube:4", "torus:4x2", "mesh:3x3x3"]
+    )
+    def test_one_vc_cdg_equals_the_plain_cdg(self, spec):
+        for alg in registered_on(spec):
+            if isinstance(alg, (DatelineDimensionOrder, EscapeVCAdaptive)):
+                continue  # these need two VCs
+            plain, one_vc = algorithm_cdg(alg), vc_algorithm_cdg(alg, 1)
+            assert one_vc.num_edges() == plain.num_edges(), alg.name
+            assert (
+                verify_vc_algorithm(alg, 1).deadlock_free
+                == verify_algorithm(alg).deadlock_free
+            ), alg.name
+
+
+class EscapeOnlyByMisroute(EscapeVCAdaptive):
+    """Escape-VC routing whose escape channel (VC0) is offered only as an
+    escape move, which a packet may take only while its misroute budget
+    lasts."""
+
+    def vc_candidates(self, current, dest, in_direction, in_vc, num_vc):
+        pairs = super().vc_candidates(current, dest, in_direction, in_vc, num_vc)
+        return [(direction, vc) for direction, vc in pairs if vc != 0]
+
+    def vc_escape_candidates(self, current, dest, in_direction, in_vc, num_vc):
+        pairs = super().vc_candidates(current, dest, in_direction, in_vc, num_vc)
+        return [(direction, vc) for direction, vc in pairs if vc == 0]
+
+
+def test_an_escape_vc_reached_only_by_misrouting_does_not_verify():
+    """Duato's condition (2) needs the escape VC among the minimal moves:
+    with a misroute limit of 0 a packet never takes an escape move."""
+    mesh = Mesh2D(4, 4)
+    assert verify_escape_discipline(EscapeVCAdaptive(mesh), 2).deadlock_free
+    assert not verify_escape_discipline(EscapeOnlyByMisroute(mesh), 2).deadlock_free
